@@ -69,7 +69,7 @@ RddPtr<Row> BuildVecScanFilter(const VecScan& scan) {
         }
         if (scan.predicate != nullptr) {
           tctx->work().rows_processed +=
-              ExprChargeRows(scanned, scan.predicate_extra, scan.compiled_charges);
+              ExprChargeRows(scanned, scan.predicate_extra);
         }
         return out;
       },
@@ -111,10 +111,10 @@ RddPtr<Row> BuildVecScanProject(
         }
         if (scan.predicate != nullptr) {
           tctx->work().rows_processed +=
-              ExprChargeRows(scanned, scan.predicate_extra, scan.compiled_charges);
+              ExprChargeRows(scanned, scan.predicate_extra);
         }
         tctx->work().rows_processed +=
-            ExprChargeRows(survived, project_extra, scan.compiled_charges);
+            ExprChargeRows(survived, project_extra);
         return out;
       },
       "vecScanProject:" + scan.table);
@@ -177,29 +177,10 @@ class VecAggShuffleDep final : public ShuffleDependency {
         for (size_t i = 0; i < w; ++i) {
           size_t g = table.FindOrInsert(keyviews, i, row_hashes[hbase + i]);
           if (g == states.size()) states.push_back(InitAggState(*calls_));
-          AggState& state = states[g];
-          for (size_t ci = 0; ci < calls_->size(); ++ci) {
-            const AggCall& call = (*calls_)[ci];
-            AggCell& cell = state.cells[ci];
-            if (call.fn == AggCall::Fn::kCountStar) {
-              cell.count += 1;
-              continue;
-            }
-            if (call.fn == AggCall::Fn::kCountDistinct) {
-              Row tuple;
-              bool any_null = false;
-              for (const ColumnVector& ac : argcols[ci]) {
-                Value v = ac.ValueAt(i);
-                any_null = any_null || v.is_null();
-                tuple.fields.push_back(std::move(v));
-              }
-              if (!any_null) cell.distinct.insert(std::move(tuple));
-              continue;
-            }
-            Value v = argcols[ci].empty() ? Value::Null()
-                                          : argcols[ci][0].ValueAt(i);
-            AccumulateValue(call, v, &cell);
-          }
+          AccumulateArgs(
+              *calls_,
+              [&](size_t ci, size_t ai) { return argcols[ci][ai].ValueAt(i); },
+              &states[g]);
         }
       }
     }
@@ -207,7 +188,7 @@ class VecAggShuffleDep final : public ShuffleDependency {
     // originals: scanFilter (ApplyPredicate), aggKey (MapRdd)...
     if (scan_.predicate != nullptr) {
       tctx->work().rows_processed +=
-          ExprChargeRows(scanned, scan_.predicate_extra, scan_.compiled_charges);
+          ExprChargeRows(scanned, scan_.predicate_extra);
     }
     tctx->work().rows_processed += fed;
     // ...and CombiningShuffleDep::PartitionBlock's combine charges.

@@ -30,17 +30,13 @@ struct VecScan {
   /// Compiled scan predicate; null for unfiltered scans.
   std::shared_ptr<const CompiledExpr> predicate;
   uint64_t predicate_extra = 0;  // UdfExtraRows of the predicate
-
-  /// Mirrors ExecOptions::compile_expressions: which per-row charge formula
-  /// the scalar path would have used (the vectorized engine always runs the
-  /// compiled program, but it must not change virtual costs).
-  bool compiled_charges = false;
 };
 
-/// Per-row virtual charge of evaluating expressions over n rows, matching
-/// ApplyPredicate/BuildProject's interpreted and compiled formulas.
-inline uint64_t ExprChargeRows(uint64_t n, uint64_t extra, bool compiled) {
-  return compiled ? n * (4 + 5 * extra) / 5 : n * (1 + extra);
+/// Per-row virtual charge of evaluating expressions over n rows; the one
+/// formula both ApplyPredicate/BuildProject and the fused batch pipelines
+/// charge, so the two paths cost the same virtual time.
+inline uint64_t ExprChargeRows(uint64_t n, uint64_t extra) {
+  return n * (1 + extra);
 }
 
 /// Fused scan+filter over the columnar store: decodes only the needed

@@ -61,32 +61,6 @@ void AccumulateValue(const AggCall& call, const Value& v, AggCell* cell) {
   }
 }
 
-void AccumulateRow(const std::vector<AggCall>& calls, const Row& row,
-                   const UdfRegistry* udfs, AggState* state) {
-  for (size_t i = 0; i < calls.size(); ++i) {
-    const AggCall& call = calls[i];
-    AggCell& cell = state->cells[i];
-    if (call.fn == AggCall::Fn::kCountStar) {
-      cell.count += 1;
-      continue;
-    }
-    if (call.fn == AggCall::Fn::kCountDistinct) {
-      Row tuple;
-      bool any_null = false;
-      for (const ExprPtr& arg : call.args) {
-        Value v = EvalExpr(*arg, row, udfs);
-        any_null = any_null || v.is_null();
-        tuple.fields.push_back(std::move(v));
-      }
-      if (!any_null) cell.distinct.insert(std::move(tuple));
-      continue;
-    }
-    Value v = call.args.empty() ? Value::Null()
-                                : EvalExpr(*call.args[0], row, udfs);
-    AccumulateValue(call, v, &cell);
-  }
-}
-
 void MergeAggStates(const std::vector<AggCall>& calls, const AggState& from,
                     AggState* into) {
   for (size_t i = 0; i < calls.size(); ++i) {

@@ -31,16 +31,41 @@ uint64_t ApproxSizeOf(const AggState& state);
 /// Creates an empty state for the given calls.
 AggState InitAggState(const std::vector<AggCall>& calls);
 
-/// Folds one input row into the state (map side).
-void AccumulateRow(const std::vector<AggCall>& calls, const Row& row,
-                   const UdfRegistry* udfs, AggState* state);
-
 /// Folds a single already-evaluated argument value into one cell. Handles
-/// every function except kCountDistinct (which needs the full arg tuple —
-/// callers build the tuple and insert into `cell->distinct` themselves).
-/// Exposed so the vectorized group-by accumulates with exactly the same
-/// arithmetic (and double summation order) as the row path.
+/// every function except kCountDistinct (which needs the full arg tuple).
 void AccumulateValue(const AggCall& call, const Value& v, AggCell* cell);
+
+/// Folds one input row into the state (map side). `arg(ci, ai)` yields the
+/// value of argument `ai` of call `ci` for that row; the caller decides where
+/// it comes from (the tree interpreter in the reference oracle, compiled
+/// programs on the row path, column views on the batch path), so every
+/// engine accumulates with exactly the same arithmetic and double summation
+/// order.
+template <typename ArgFn>
+void AccumulateArgs(const std::vector<AggCall>& calls, ArgFn&& arg,
+                    AggState* state) {
+  for (size_t ci = 0; ci < calls.size(); ++ci) {
+    const AggCall& call = calls[ci];
+    AggCell& cell = state->cells[ci];
+    if (call.fn == AggCall::Fn::kCountStar) {
+      cell.count += 1;
+      continue;
+    }
+    if (call.fn == AggCall::Fn::kCountDistinct) {
+      Row tuple;
+      bool any_null = false;
+      for (size_t ai = 0; ai < call.args.size(); ++ai) {
+        Value v = arg(ci, ai);
+        any_null = any_null || v.is_null();
+        tuple.fields.push_back(std::move(v));
+      }
+      if (!any_null) cell.distinct.insert(std::move(tuple));
+      continue;
+    }
+    Value v = call.args.empty() ? Value::Null() : arg(ci, size_t{0});
+    AccumulateValue(call, v, &cell);
+  }
+}
 
 /// Merges `from` into `into` (reduce side).
 void MergeAggStates(const std::vector<AggCall>& calls, const AggState& from,

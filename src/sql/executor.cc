@@ -8,7 +8,6 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "exec/vectorized/column_batch.h"
 #include "exec/vectorized/vec_exec.h"
 #include "index/btree.h"
 #include "rdd/pair_rdd.h"
@@ -49,11 +48,34 @@ uint64_t UdfExtraRows(const Expr& expr, const UdfRegistry* udfs) {
   return extra;
 }
 
-Row EvalKeyRow(const std::vector<ExprPtr>& keys, const Row& row,
-               const UdfRegistry* udfs) {
+/// Expressions compiled once per operator and shared by its tasks.
+using Programs = std::shared_ptr<const std::vector<CompiledExpr>>;
+
+/// Compiles one expression. Compilation only fails on unbound refs or
+/// aggregate calls, which the analyzer rules out, so failure is an error.
+Result<std::shared_ptr<const CompiledExpr>> CompileShared(
+    const Expr& expr, const UdfRegistry* udfs) {
+  SHARK_ASSIGN_OR_RETURN(CompiledExpr program,
+                         ExprCompiler(udfs).Compile(expr));
+  return std::make_shared<const CompiledExpr>(std::move(program));
+}
+
+Result<Programs> CompileAll(const std::vector<ExprPtr>& exprs,
+                            const UdfRegistry* udfs) {
+  ExprCompiler compiler(udfs);
+  auto out = std::make_shared<std::vector<CompiledExpr>>();
+  out->reserve(exprs.size());
+  for (const ExprPtr& e : exprs) {
+    SHARK_ASSIGN_OR_RETURN(CompiledExpr program, compiler.Compile(*e));
+    out->push_back(std::move(program));
+  }
+  return Programs(std::move(out));
+}
+
+Row EvalKeyRow(const std::vector<CompiledExpr>& keys, const Row& row) {
   Row out;
   out.fields.reserve(keys.size());
-  for (const ExprPtr& k : keys) out.fields.push_back(EvalExpr(*k, row, udfs));
+  for (const CompiledExpr& k : keys) out.fields.push_back(k.Eval(row));
   return out;
 }
 
@@ -67,15 +89,13 @@ Row ConcatRows(const Row& left, const Row& right) {
 /// shuffle; partition i of the output joins partition i of each side.
 class ZippedJoinRdd final : public TypedRdd<Row> {
  public:
-  ZippedJoinRdd(RddPtr<Row> left, RddPtr<Row> right,
-                std::vector<ExprPtr> left_keys, std::vector<ExprPtr> right_keys,
-                const UdfRegistry* udfs)
+  ZippedJoinRdd(RddPtr<Row> left, RddPtr<Row> right, Programs left_keys,
+                Programs right_keys)
       : TypedRdd<Row>(left->context(), "copartitionJoin"),
         left_(left),
         right_(right),
         left_keys_(std::move(left_keys)),
-        right_keys_(std::move(right_keys)),
-        udfs_(udfs) {
+        right_keys_(std::move(right_keys)) {
     SHARK_CHECK(left->num_partitions() == right->num_partitions());
     deps_.push_back(Dependency{left, nullptr});
     deps_.push_back(Dependency{right, nullptr});
@@ -90,11 +110,13 @@ class ZippedJoinRdd final : public TypedRdd<Row> {
     const bool left_build = lrows->size() <= rrows->size();
     const std::vector<Row>& build = left_build ? *lrows : *rrows;
     const std::vector<Row>& probe = left_build ? *rrows : *lrows;
-    const std::vector<ExprPtr>& build_keys = left_build ? left_keys_ : right_keys_;
-    const std::vector<ExprPtr>& probe_keys = left_build ? right_keys_ : left_keys_;
+    const std::vector<CompiledExpr>& build_keys =
+        left_build ? *left_keys_ : *right_keys_;
+    const std::vector<CompiledExpr>& probe_keys =
+        left_build ? *right_keys_ : *left_keys_;
     JoinTable table;
     for (const Row& r : build) {
-      table[EvalKeyRow(build_keys, r, udfs_)].push_back(r);
+      table[EvalKeyRow(build_keys, r)].push_back(r);
     }
     tctx->work().hash_records += build.size() + probe.size();
     tctx->work().rows_processed += build.size() + probe.size();
@@ -103,7 +125,7 @@ class ZippedJoinRdd final : public TypedRdd<Row> {
     tctx->ReserveOrSpillHash(ApproxSizeOfRange(build), build.size());
     Block out;
     for (const Row& r : probe) {
-      auto it = table.find(EvalKeyRow(probe_keys, r, udfs_));
+      auto it = table.find(EvalKeyRow(probe_keys, r));
       if (it == table.end()) continue;
       for (const Row& b : it->second) {
         out.push_back(left_build ? ConcatRows(b, r) : ConcatRows(r, b));
@@ -121,9 +143,8 @@ class ZippedJoinRdd final : public TypedRdd<Row> {
  private:
   RddPtr<Row> left_;
   RddPtr<Row> right_;
-  std::vector<ExprPtr> left_keys_;
-  std::vector<ExprPtr> right_keys_;
-  const UdfRegistry* udfs_;
+  Programs left_keys_;
+  Programs right_keys_;
 };
 
 }  // namespace
@@ -261,6 +282,12 @@ std::string QueryResult::ToString(size_t max_rows) const {
 // Executor
 // ---------------------------------------------------------------------------
 
+Executor::Executor(ClusterContext* ctx, Catalog* catalog,
+                   const UdfRegistry* udfs, const ExecOptions& options)
+    : ctx_(ctx), catalog_(catalog), udfs_(udfs), options_(options) {
+  if (options_.host_threads >= 0) ctx_->set_host_threads(options_.host_threads);
+}
+
 int Executor::FineBuckets() const {
   if (options_.fine_buckets > 0) return options_.fine_buckets;
   return 2 * ctx_->cluster().total_cores();
@@ -310,43 +337,23 @@ Result<std::vector<Row>> Executor::CollectTracked(const RddPtr<Row>& rdd) {
   return rows;
 }
 
-RddPtr<Row> Executor::ApplyPredicate(RddPtr<Row> rows, const ExprPtr& predicate,
-                                     const std::string& label) {
+Result<RddPtr<Row>> Executor::ApplyPredicate(RddPtr<Row> rows,
+                                             const ExprPtr& predicate,
+                                             const std::string& label) {
   if (predicate == nullptr) return rows;
-  const UdfRegistry* udfs = udfs_;
-  uint64_t extra = UdfExtraRows(*predicate, udfs);
-  if (options_.compile_expressions) {
-    ExprCompiler compiler(udfs);
-    auto compiled = compiler.Compile(*predicate);
-    if (compiled.ok()) {
-      auto program = std::make_shared<const CompiledExpr>(std::move(*compiled));
-      return rows->MapPartitions(
-          [program, extra](int, const std::vector<Row>& in, TaskContext* tctx) {
-            std::vector<Row> out;
-            for (const Row& r : in) {
-              if (program->EvalBool(r)) out.push_back(r);
-            }
-            // Compiled evaluators cost ~0.8x the interpreted per-row charge
-            // (the measured micro-benchmark ratio for this Value
-            // representation; full type-specialized codegen, as Spark SQL's
-            // Tungsten later did, would go further).
-            tctx->work().rows_processed += in.size() * (4 + 5 * extra) / 5;
-            return out;
-          },
-          label);
-    }
-  }
-  ExprPtr pred = predicate;
-  return rows->MapPartitions(
-      [pred, udfs, extra](int, const std::vector<Row>& in, TaskContext* tctx) {
+  SHARK_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledExpr> program,
+                         CompileShared(*predicate, udfs_));
+  uint64_t extra = UdfExtraRows(*predicate, udfs_);
+  return RddPtr<Row>(rows->MapPartitions(
+      [program, extra](int, const std::vector<Row>& in, TaskContext* tctx) {
         std::vector<Row> out;
         for (const Row& r : in) {
-          if (EvalPredicate(*pred, r, udfs)) out.push_back(r);
+          if (program->EvalBool(r)) out.push_back(r);
         }
-        tctx->work().rows_processed += in.size() * (1 + extra);
+        tctx->work().rows_processed += vec::ExprChargeRows(in.size(), extra);
         return out;
       },
-      label);
+      label));
 }
 
 Result<RddPtr<Row>> Executor::BuildRdd(const PlanPtr& plan) {
@@ -408,28 +415,22 @@ RddPtr<TablePartitionPtr> Executor::PruneCachedScan(TableInfo* info,
   return base;
 }
 
-bool Executor::PrepareVecScan(const LogicalPlan& node, vec::VecScan* out) {
+Result<bool> Executor::PrepareVecScan(const LogicalPlan& node,
+                                      vec::VecScan* out) {
   if (!options_.vectorized || node.kind != PlanKind::kScan) return false;
   auto info_or = catalog_->Get(node.table);
   if (!info_or.ok()) return false;
   TableInfo* info = *info_or;
   if (!info->is_cached() || !ctx_->profile().memory_store) return false;
-  std::shared_ptr<const CompiledExpr> predicate;
-  uint64_t extra = 0;
   if (node.scan_predicate != nullptr) {
-    ExprCompiler compiler(udfs_);
-    auto compiled = compiler.Compile(*node.scan_predicate);
-    if (!compiled.ok()) return false;
-    predicate = std::make_shared<const CompiledExpr>(std::move(*compiled));
-    extra = UdfExtraRows(*node.scan_predicate, udfs_);
+    SHARK_ASSIGN_OR_RETURN(out->predicate,
+                           CompileShared(*node.scan_predicate, udfs_));
+    out->predicate_extra = UdfExtraRows(*node.scan_predicate, udfs_);
   }
   out->base = PruneCachedScan(info, node);
   out->schema = std::make_shared<const Schema>(info->schema);
   out->needed = std::make_shared<const std::vector<int>>(node.needed_columns);
   out->table = node.table;
-  out->predicate = std::move(predicate);
-  out->predicate_extra = extra;
-  out->compiled_charges = options_.compile_expressions;
   return true;
 }
 
@@ -438,7 +439,8 @@ Result<RddPtr<Row>> Executor::BuildScan(const LogicalPlan& node) {
   // push down (a bare scan gains nothing over ToRows).
   if (node.scan_predicate != nullptr) {
     vec::VecScan vs;
-    if (PrepareVecScan(node, &vs)) return vec::BuildVecScanFilter(vs);
+    SHARK_ASSIGN_OR_RETURN(bool vectorized, PrepareVecScan(node, &vs));
+    if (vectorized) return vec::BuildVecScanFilter(vs);
   }
   SHARK_ASSIGN_OR_RETURN(TableInfo * info, catalog_->Get(node.table));
   bool use_memstore = info->is_cached() && ctx_->profile().memory_store;
@@ -543,109 +545,45 @@ Result<RddPtr<Row>> Executor::BuildIndexScan(const LogicalPlan& node) {
   // concatenation of a block's partitions, mirroring the build job.
   const uint64_t probe_rows = static_cast<uint64_t>(index->tree->height()) + 1;
 
-  RddPtr<Row> rows;
-  if (options_.vectorized) {
-    // Vectorized gather: decode the needed columns once, gather the selected
-    // rows batch-at-a-time. Host-side only — charges match the scalar path
-    // cell for cell (MaterializeRow reproduces ToRows' values exactly).
-    auto fields =
-        std::make_shared<const std::vector<Field>>(info->schema.fields());
-    const std::string table = node.table;
-    rows = base->MapPartitions(
-        [rows_by_pos, needed, needed_mask, fields, table, probe_rows](
-            int p, const std::vector<TablePartitionPtr>& parts,
-            TaskContext* tctx) {
-          static const std::vector<uint32_t> kNone;
-          const std::vector<uint32_t>& want =
-              static_cast<size_t>(p) < rows_by_pos->size()
-                  ? (*rows_by_pos)[static_cast<size_t>(p)]
-                  : kNone;
-          std::vector<Row> out;
-          out.reserve(want.size());
-          uint64_t bytes = 0;
-          size_t offset = 0, wi = 0;
-          for (const TablePartitionPtr& part : parts) {
-            if (part == nullptr) continue;
-            const size_t n = part->num_rows();
-            vec::SelVector sel;
-            while (wi < want.size() && want[wi] < offset + n) {
-              sel.push_back(static_cast<int32_t>(want[wi] - offset));
-              ++wi;
-            }
-            if (!sel.empty()) {
-              vec::ColumnBatch batch;
-              Status st =
-                  vec::DecodePartition(*part, *fields, *needed, table, &batch);
-              if (st.ok()) {
-                vec::ColumnBatch picked = vec::GatherBatch(batch, sel);
-                for (size_t i = 0; i < picked.num_rows; ++i) {
-                  Row r = vec::MaterializeRow(picked, i);
-                  for (int c : *needed) {
-                    bytes += ApproxSizeOf(r.fields[static_cast<size_t>(c)]);
-                  }
-                  out.push_back(std::move(r));
-                }
-              } else {
-                // Per-row fallback with identical charges.
-                for (int32_t s : sel) {
-                  Row r = part->GetRow(static_cast<size_t>(s));
-                  for (size_t c = 0; c < r.fields.size(); ++c) {
-                    if (c < needed_mask->size() && (*needed_mask)[c] == 0) {
-                      r.fields[c] = Value::Null();
-                    }
-                  }
-                  for (int c : *needed) {
-                    bytes += ApproxSizeOf(r.fields[static_cast<size_t>(c)]);
-                  }
-                  out.push_back(std::move(r));
-                }
+  // Per-row gather: touches only the matching rows' cells, where a batch
+  // decode would pay for whole partitions.
+  RddPtr<Row> rows = base->MapPartitions(
+      [rows_by_pos, needed, needed_mask, probe_rows](
+          int p, const std::vector<TablePartitionPtr>& parts,
+          TaskContext* tctx) {
+        static const std::vector<uint32_t> kNone;
+        const std::vector<uint32_t>& want =
+            static_cast<size_t>(p) < rows_by_pos->size()
+                ? (*rows_by_pos)[static_cast<size_t>(p)]
+                : kNone;
+        std::vector<Row> out;
+        out.reserve(want.size());
+        uint64_t bytes = 0;
+        size_t offset = 0, wi = 0;
+        for (const TablePartitionPtr& part : parts) {
+          if (part == nullptr) continue;
+          const size_t n = part->num_rows();
+          while (wi < want.size() && want[wi] < offset + n) {
+            Row r = part->GetRow(static_cast<size_t>(want[wi] - offset));
+            for (size_t c = 0; c < r.fields.size(); ++c) {
+              if (c < needed_mask->size() && (*needed_mask)[c] == 0) {
+                r.fields[c] = Value::Null();
               }
             }
-            offset += n;
+            for (int c : *needed) {
+              bytes += ApproxSizeOf(r.fields[static_cast<size_t>(c)]);
+            }
+            out.push_back(std::move(r));
+            ++wi;
           }
-          tctx->work().rows_processed += probe_rows + 2 * out.size();
-          tctx->work().mem_read_bytes += bytes;
-          return out;
-        },
-        "vecIndexGather:" + node.table);
-  } else {
-    rows = base->MapPartitions(
-        [rows_by_pos, needed, needed_mask, probe_rows](
-            int p, const std::vector<TablePartitionPtr>& parts,
-            TaskContext* tctx) {
-          static const std::vector<uint32_t> kNone;
-          const std::vector<uint32_t>& want =
-              static_cast<size_t>(p) < rows_by_pos->size()
-                  ? (*rows_by_pos)[static_cast<size_t>(p)]
-                  : kNone;
-          std::vector<Row> out;
-          out.reserve(want.size());
-          uint64_t bytes = 0;
-          size_t offset = 0, wi = 0;
-          for (const TablePartitionPtr& part : parts) {
-            if (part == nullptr) continue;
-            const size_t n = part->num_rows();
-            while (wi < want.size() && want[wi] < offset + n) {
-              Row r = part->GetRow(static_cast<size_t>(want[wi] - offset));
-              for (size_t c = 0; c < r.fields.size(); ++c) {
-                if (c < needed_mask->size() && (*needed_mask)[c] == 0) {
-                  r.fields[c] = Value::Null();
-                }
-              }
-              for (int c : *needed) {
-                bytes += ApproxSizeOf(r.fields[static_cast<size_t>(c)]);
-              }
-              out.push_back(std::move(r));
-              ++wi;
-            }
-            offset += n;
-          }
-          tctx->work().rows_processed += probe_rows + 2 * out.size();
-          tctx->work().mem_read_bytes += bytes;
-          return out;
-        },
-        "indexGather:" + node.table);
-  }
+          offset += n;
+        }
+        tctx->work().rows_processed += probe_rows + 2 * out.size();
+        tctx->work().mem_read_bytes += bytes;
+        return out;
+      },
+      "indexGather:" + node.table);
+
   // Residual re-check: the tree range over-approximates, the full original
   // predicate makes the result exact (and identical to a plain scan).
   return ApplyPredicate(rows, node.scan_predicate, "indexFilter:" + node.table);
@@ -657,169 +595,74 @@ Result<RddPtr<Row>> Executor::BuildFilter(const LogicalPlan& node) {
 }
 
 Result<RddPtr<Row>> Executor::BuildProject(const LogicalPlan& node) {
-  // Vectorized fast path: fuse decode + filter + project over a cached scan.
-  if (options_.vectorized && node.children[0]->kind == PlanKind::kScan) {
-    ExprCompiler compiler(udfs_);
-    auto programs = std::make_shared<std::vector<CompiledExpr>>();
-    bool all_ok = true;
-    for (const auto& e : node.project_exprs) {
-      auto compiled = compiler.Compile(*e);
-      if (!compiled.ok()) {
-        all_ok = false;
-        break;
-      }
-      programs->push_back(std::move(*compiled));
-    }
-    if (all_ok) {
-      vec::VecScan vs;
-      if (PrepareVecScan(*node.children[0], &vs)) {
-        uint64_t project_extra = 0;
-        for (const auto& e : node.project_exprs) {
-          project_extra += UdfExtraRows(*e, udfs_);
-        }
-        return vec::BuildVecScanProject(vs, programs, project_extra);
-      }
-    }
-  }
-  SHARK_ASSIGN_OR_RETURN(RddPtr<Row> child, BuildRdd(node.children[0]));
-  const UdfRegistry* udfs = udfs_;
+  SHARK_ASSIGN_OR_RETURN(Programs programs,
+                         CompileAll(node.project_exprs, udfs_));
   uint64_t extra = 0;
-  for (const auto& e : node.project_exprs) extra += UdfExtraRows(*e, udfs);
-  if (options_.compile_expressions) {
-    ExprCompiler compiler(udfs);
-    auto programs = std::make_shared<std::vector<CompiledExpr>>();
-    bool all_ok = true;
-    for (const auto& e : node.project_exprs) {
-      auto compiled = compiler.Compile(*e);
-      if (!compiled.ok()) {
-        all_ok = false;
-        break;
-      }
-      programs->push_back(std::move(*compiled));
-    }
-    if (all_ok) {
-      return RddPtr<Row>(child->MapPartitions(
-          [programs, extra](int, const std::vector<Row>& in, TaskContext* tctx) {
-            std::vector<Row> out;
-            out.reserve(in.size());
-            for (const Row& r : in) {
-              Row projected;
-              projected.fields.reserve(programs->size());
-              for (const CompiledExpr& p : *programs) {
-                projected.fields.push_back(p.Eval(r));
-              }
-              out.push_back(std::move(projected));
-            }
-            tctx->work().rows_processed += in.size() * (4 + 5 * extra) / 5;
-            return out;
-          },
-          "projectCompiled"));
-    }
-  }
-  auto exprs = std::make_shared<std::vector<ExprPtr>>(node.project_exprs);
+  for (const auto& e : node.project_exprs) extra += UdfExtraRows(*e, udfs_);
+  // Vectorized fast path: fuse decode + filter + project over a cached scan.
+  vec::VecScan vs;
+  SHARK_ASSIGN_OR_RETURN(bool vectorized,
+                         PrepareVecScan(*node.children[0], &vs));
+  if (vectorized) return vec::BuildVecScanProject(vs, programs, extra);
+  SHARK_ASSIGN_OR_RETURN(RddPtr<Row> child, BuildRdd(node.children[0]));
   return RddPtr<Row>(child->MapPartitions(
-      [exprs, udfs, extra](int, const std::vector<Row>& in, TaskContext* tctx) {
+      [programs, extra](int, const std::vector<Row>& in, TaskContext* tctx) {
         std::vector<Row> out;
         out.reserve(in.size());
         for (const Row& r : in) {
           Row projected;
-          projected.fields.reserve(exprs->size());
-          for (const ExprPtr& e : *exprs) {
-            projected.fields.push_back(EvalExpr(*e, r, udfs));
+          projected.fields.reserve(programs->size());
+          for (const CompiledExpr& p : *programs) {
+            projected.fields.push_back(p.Eval(r));
           }
           out.push_back(std::move(projected));
         }
-        tctx->work().rows_processed += in.size() * (1 + extra);
+        tctx->work().rows_processed += vec::ExprChargeRows(in.size(), extra);
         return out;
       },
       "project"));
 }
 
-Result<RddPtr<Row>> Executor::TryVecAggregate(const LogicalPlan& node) {
-  if (!options_.vectorized || node.children[0]->kind != PlanKind::kScan) {
-    return RddPtr<Row>(nullptr);
-  }
-  const LogicalPlan& scan = *node.children[0];
-  ExprCompiler compiler(udfs_);
-  auto group_programs = std::make_shared<std::vector<CompiledExpr>>();
-  for (const auto& e : node.group_exprs) {
-    auto compiled = compiler.Compile(*e);
-    if (!compiled.ok()) return RddPtr<Row>(nullptr);
-    group_programs->push_back(std::move(*compiled));
-  }
-  auto agg_args = std::make_shared<std::vector<std::vector<CompiledExpr>>>();
-  for (const auto& call : node.agg_calls) {
-    std::vector<CompiledExpr> programs;
-    for (const auto& a : call.args) {
-      auto compiled = compiler.Compile(*a);
-      if (!compiled.ok()) return RddPtr<Row>(nullptr);
-      programs.push_back(std::move(*compiled));
-    }
-    agg_args->push_back(std::move(programs));
-  }
-  vec::VecScan vs;
-  if (!PrepareVecScan(scan, &vs)) return RddPtr<Row>(nullptr);
-  auto calls = std::make_shared<const std::vector<AggCall>>(node.agg_calls);
-
-  const bool pde = options_.pde && ctx_->profile().pde_enabled;
-  int buckets = pde ? FineBuckets() : StaticReducers(node);
-  auto dep = vec::MakeVecAggDep(vs, buckets, group_programs, agg_args, calls);
-
-  BucketAssignment assignment;
-  if (pde) {
-    SHARK_ASSIGN_OR_RETURN(ShuffleStats stats, EnsureShuffleTracked(dep));
-    uint64_t virtual_bytes = static_cast<uint64_t>(
-        static_cast<double>(stats.total_bytes) * ctx_->virtual_scale());
-    int reducers = ChooseNumReducers(virtual_bytes,
-                                     options_.reducer_target_bytes, buckets);
-    metrics_.chosen_reducers = reducers;
-    assignment = CoalesceBuckets(stats.bucket_bytes, reducers);
-  } else {
-    metrics_.chosen_reducers = buckets;
-    assignment = IdentityAssignment(buckets);
-  }
-
-  auto reduced = std::make_shared<ShuffledReduceRdd<Row, AggState>>(
-      ctx_, dep,
-      [calls](AggState& a, AggState&& b) { MergeAggStates(*calls, b, &a); },
-      std::move(assignment), "aggReduce");
-
-  return RddPtr<Row>(reduced->Map(
-      [calls](const std::pair<Row, AggState>& kv) {
-        return FinalizeAggRow(*calls, kv.first, kv.second);
-      },
-      "aggFinalize"));
-}
-
 Result<RddPtr<Row>> Executor::BuildAggregate(const LogicalPlan& node) {
-  {
-    SHARK_ASSIGN_OR_RETURN(RddPtr<Row> vec_agg, TryVecAggregate(node));
-    if (vec_agg != nullptr) return vec_agg;
+  SHARK_ASSIGN_OR_RETURN(Programs groups, CompileAll(node.group_exprs, udfs_));
+  auto args = std::make_shared<std::vector<std::vector<CompiledExpr>>>();
+  for (const AggCall& call : node.agg_calls) {
+    SHARK_ASSIGN_OR_RETURN(Programs programs, CompileAll(call.args, udfs_));
+    args->push_back(*programs);
   }
-  SHARK_ASSIGN_OR_RETURN(RddPtr<Row> child, BuildRdd(node.children[0]));
-  auto groups = std::make_shared<std::vector<ExprPtr>>(node.group_exprs);
-  auto calls = std::make_shared<std::vector<AggCall>>(node.agg_calls);
-  const UdfRegistry* udfs = udfs_;
-
-  auto keyed = child->Map(
-      [groups, udfs](const Row& r) {
-        return std::make_pair(EvalKeyRow(*groups, r, udfs), r);
-      },
-      "aggKey");
-
+  auto calls = std::make_shared<const std::vector<AggCall>>(node.agg_calls);
   const bool pde = options_.pde && ctx_->profile().pde_enabled;
   int buckets = pde ? FineBuckets() : StaticReducers(node);
 
-  auto dep = std::make_shared<CombiningShuffleDep<Row, Row, AggState>>(
-      keyed, buckets,
-      [calls, udfs](const Row& r) {
-        AggState s = InitAggState(*calls);
-        AccumulateRow(*calls, r, udfs, &s);
-        return s;
-      },
-      [calls, udfs](AggState& s, const Row& r) {
-        AccumulateRow(*calls, r, udfs, &s);
-      });
+  // Vectorized fast path: scan, filter and map-side group-by fused over a
+  // cached columnar table.
+  std::shared_ptr<ShuffleDependency> dep;
+  vec::VecScan vs;
+  SHARK_ASSIGN_OR_RETURN(bool vectorized,
+                         PrepareVecScan(*node.children[0], &vs));
+  if (vectorized) {
+    dep = vec::MakeVecAggDep(vs, buckets, groups, args, calls);
+  } else {
+    SHARK_ASSIGN_OR_RETURN(RddPtr<Row> child, BuildRdd(node.children[0]));
+    auto keyed = child->Map(
+        [groups](const Row& r) {
+          return std::make_pair(EvalKeyRow(*groups, r), r);
+        },
+        "aggKey");
+    auto accumulate = [calls, args](AggState& s, const Row& r) {
+      AccumulateArgs(
+          *calls,
+          [&](size_t ci, size_t ai) { return (*args)[ci][ai].Eval(r); }, &s);
+    };
+    dep = std::make_shared<CombiningShuffleDep<Row, Row, AggState>>(
+        keyed, buckets,
+        [calls, accumulate](const Row& r) {
+          AggState s = InitAggState(*calls);
+          accumulate(s, r);
+          return s;
+        },
+        accumulate);
+  }
 
   BucketAssignment assignment;
   if (pde) {
@@ -887,9 +730,12 @@ Result<RddPtr<Row>> Executor::TryCoPartitionedJoin(const LogicalPlan& node) {
   if (!left_rows.ok()) return left_rows.status();
   if (!right_rows.ok()) return right_rows.status();
 
+  SHARK_ASSIGN_OR_RETURN(Programs left_keys, CompileAll(node.left_keys, udfs_));
+  SHARK_ASSIGN_OR_RETURN(Programs right_keys,
+                         CompileAll(node.right_keys, udfs_));
   metrics_.join_strategy = "copartition join";
-  auto joined = std::make_shared<ZippedJoinRdd>(
-      *left_rows, *right_rows, node.left_keys, node.right_keys, udfs_);
+  auto joined = std::make_shared<ZippedJoinRdd>(*left_rows, *right_rows,
+                                                left_keys, right_keys);
   return ApplyPredicate(RddPtr<Row>(joined), node.join_residual,
                         "joinResidual");
 }
@@ -961,13 +807,14 @@ Result<RddPtr<Row>> Executor::BuildJoin(const PlanPtr& plan) {
 }
 
 Result<RddPtr<Row>> Executor::BuildJoinPair(
-    RddPtr<Row> left, RddPtr<Row> right, std::vector<ExprPtr> left_keys,
-    std::vector<ExprPtr> right_keys, JoinType join_type, int left_width,
-    int right_width, const ExprPtr& residual, double left_belief,
-    double right_belief, int static_reducers, JoinSideObservation* obs) {
-  const UdfRegistry* udfs = udfs_;
-  auto lkeys = std::make_shared<std::vector<ExprPtr>>(std::move(left_keys));
-  auto rkeys = std::make_shared<std::vector<ExprPtr>>(std::move(right_keys));
+    RddPtr<Row> left, RddPtr<Row> right,
+    const std::vector<ExprPtr>& left_keys,
+    const std::vector<ExprPtr>& right_keys, JoinType join_type,
+    int left_width, int right_width, const ExprPtr& residual,
+    double left_belief, double right_belief, int static_reducers,
+    JoinSideObservation* obs) {
+  SHARK_ASSIGN_OR_RETURN(Programs lkeys, CompileAll(left_keys, udfs_));
+  SHARK_ASSIGN_OR_RETURN(Programs rkeys, CompileAll(right_keys, udfs_));
 
   auto observe = [obs](bool is_left, uint64_t records, uint64_t bytes) {
     if (obs == nullptr) return;
@@ -982,11 +829,11 @@ Result<RddPtr<Row>> Executor::BuildJoinPair(
     }
   };
 
-  auto key_left = [lkeys, udfs](const Row& r) {
-    return std::make_pair(EvalKeyRow(*lkeys, r, udfs), r);
+  auto key_left = [lkeys](const Row& r) {
+    return std::make_pair(EvalKeyRow(*lkeys, r), r);
   };
-  auto key_right = [rkeys, udfs](const Row& r) {
-    return std::make_pair(EvalKeyRow(*rkeys, r, udfs), r);
+  auto key_right = [rkeys](const Row& r) {
+    return std::make_pair(EvalKeyRow(*rkeys, r), r);
   };
 
   const int fine = FineBuckets();
@@ -1013,19 +860,20 @@ Result<RddPtr<Row>> Executor::BuildJoinPair(
     }
     observe(build_is_left, build_side.size(), ApproxSizeOfRange(build_side));
     JoinTable table;
-    const std::vector<ExprPtr>& build_keys = build_is_left ? *lkeys : *rkeys;
+    const std::vector<CompiledExpr>& build_keys =
+        build_is_left ? *lkeys : *rkeys;
     for (Row& r : build_side) {
-      table[EvalKeyRow(build_keys, r, udfs)].push_back(std::move(r));
+      table[EvalKeyRow(build_keys, r)].push_back(std::move(r));
     }
     int broadcast_id = ctx_->Broadcast(std::move(table));
     auto probe_keys = build_is_left ? rkeys : lkeys;
     return RddPtr<Row>(probe->MapPartitions(
-        [broadcast_id, probe_keys, udfs, build_is_left](
+        [broadcast_id, probe_keys, build_is_left](
             int, const std::vector<Row>& in, TaskContext* tctx) {
           auto bc = GetBroadcast<JoinTable>(tctx, broadcast_id);
           std::vector<Row> out;
           for (const Row& r : in) {
-            auto it = bc->find(EvalKeyRow(*probe_keys, r, udfs));
+            auto it = bc->find(EvalKeyRow(*probe_keys, r));
             if (it == bc->end()) continue;
             for (const Row& b : it->second) {
               out.push_back(build_is_left ? ConcatRows(b, r) : ConcatRows(r, b));
@@ -1277,7 +1125,8 @@ Result<RddPtr<Row>> Executor::BuildJoinSpine(const PlanPtr& plan,
     return residuals.empty() ? nullptr : CombineConjuncts(residuals);
   };
   if (ExprPtr first_res = pending_residual(mask, nullptr)) {
-    cur = ApplyPredicate(cur, first_res, "joinResidual");
+    SHARK_ASSIGN_OR_RETURN(cur,
+                           ApplyPredicate(cur, first_res, "joinResidual"));
   }
 
   // Running composite estimate; observations overwrite it so downstream
@@ -1404,10 +1253,10 @@ Result<RddPtr<Row>> Executor::BuildJoinSpine(const PlanPtr& plan,
     JoinSideObservation obsv;
     RddPtr<Row> prev = cur;
     SHARK_ASSIGN_OR_RETURN(
-        cur, BuildJoinPair(cur, leaf_rdd, std::move(lkeys), std::move(rkeys),
-                           JoinType::kInner, cur_width, leaf.width, residual,
-                           comp_belief, BeliefBytes(*leaf.plan),
-                           StaticReducers(*plan), &obsv));
+        cur, BuildJoinPair(cur, leaf_rdd, lkeys, rkeys, JoinType::kInner,
+                           cur_width, leaf.width, residual, comp_belief,
+                           BeliefBytes(*leaf.plan), StaticReducers(*plan),
+                           &obsv));
 
     // Fold observed input sizes back into the estimates (§4's statistics
     // feedback) and measure how far off the beliefs were.
@@ -1509,15 +1358,14 @@ Result<RddPtr<Row>> Executor::BuildJoinSpine(const PlanPtr& plan,
 
 Result<RddPtr<Row>> Executor::BuildSort(const LogicalPlan& node) {
   SHARK_ASSIGN_OR_RETURN(RddPtr<Row> child, BuildRdd(node.children[0]));
-  auto keys = std::make_shared<std::vector<ExprPtr>>(node.sort_exprs);
+  SHARK_ASSIGN_OR_RETURN(Programs keys, CompileAll(node.sort_exprs, udfs_));
   auto asc = std::make_shared<std::vector<bool>>(node.sort_ascending);
-  const UdfRegistry* udfs = udfs_;
   int64_t limit = node.limit;
 
-  auto compare = [keys, asc, udfs](const Row& a, const Row& b) {
+  auto compare = [keys, asc](const Row& a, const Row& b) {
     for (size_t i = 0; i < keys->size(); ++i) {
-      Value va = EvalExpr(*(*keys)[i], a, udfs);
-      Value vb = EvalExpr(*(*keys)[i], b, udfs);
+      Value va = (*keys)[i].Eval(a);
+      Value vb = (*keys)[i].Eval(b);
       int c = va.Compare(vb);
       if (c != 0) return (*asc)[i] ? c < 0 : c > 0;
     }
@@ -1571,7 +1419,6 @@ Result<RddPtr<Row>> Executor::BuildLimit(const LogicalPlan& node) {
 
 Result<QueryResult> Executor::ExecuteInner(const PlanPtr& plan) {
   metrics_ = QueryMetrics();
-  if (options_.host_threads >= 0) ctx_->set_host_threads(options_.host_threads);
   double start = ctx_->now();
   SHARK_ASSIGN_OR_RETURN(RddPtr<Row> rdd, BuildRdd(plan));
   SHARK_ASSIGN_OR_RETURN(std::vector<Row> rows, CollectTracked(rdd));
@@ -1630,8 +1477,8 @@ std::vector<std::string> NodeStageKeys(const LogicalPlan& node) {
               "prunedScan:" + node.table,    "dfs:warehouse/" + ToLower(node.table),
               "vecScanFilter:" + node.table, "vecScanProject:" + node.table};
     case PlanKind::kIndexScan:
-      return {"indexGather:" + node.table,  "vecIndexGather:" + node.table,
-              "prunedIndexScan:" + node.table, "indexFilter:" + node.table,
+      return {"indexGather:" + node.table, "prunedIndexScan:" + node.table,
+              "indexFilter:" + node.table,
               // Fallback path when the index vanished before execution.
               "memScan:" + node.table, "scanFilter:" + node.table,
               "prunedScan:" + node.table};

@@ -33,19 +33,12 @@ struct ExecOptions {
   bool map_pruning = true;    // §3.5
   bool use_copartition = true;  // §3.4
 
-  /// Compile row-level expressions into flat postfix programs instead of
-  /// interpreting the tree (§5's "bytecode compilation", future work in the
-  /// paper, implemented here). Off by default so benches measure the
-  /// paper's configuration; the ablation/micro benches quantify the gain.
-  bool compile_expressions = false;
-
   /// Vectorized batch-at-a-time execution over cached columnar tables:
   /// scan/filter/project/group-by pipelines decode column batches and run
   /// type-specialized kernels instead of materializing Rows per operator.
   /// Pure host-side optimization — virtual-time charges are identical to the
   /// row-at-a-time path, so benches report the same virtual_seconds with or
-  /// without it. Falls back to the scalar path per-query whenever an
-  /// expression has no batch kernel support or the scan is not memstore-backed.
+  /// without it. Queries whose scan is not memstore-backed take the row path.
   bool vectorized = true;
 
   /// Sargability rule: allow the planner to flip Scans on indexed cached
@@ -128,9 +121,11 @@ struct QueryResult {
 /// executor instance per query.
 class Executor {
  public:
+  /// Applies `options.host_threads` to the context, so every job of the
+  /// query honours it, including CTAS loads and sql2rdd jobs that run
+  /// outside Execute.
   Executor(ClusterContext* ctx, Catalog* catalog, const UdfRegistry* udfs,
-           const ExecOptions& options)
-      : ctx_(ctx), catalog_(catalog), udfs_(udfs), options_(options) {}
+           const ExecOptions& options);
 
   /// Builds and collects the plan, returning rows plus metrics.
   Result<QueryResult> Execute(const PlanPtr& plan);
@@ -168,8 +163,8 @@ class Executor {
   /// selection. Beliefs are in virtual bytes; `obs` (may be null) receives
   /// observed pre-shuffle input sizes for mid-query re-optimization.
   Result<RddPtr<Row>> BuildJoinPair(RddPtr<Row> left, RddPtr<Row> right,
-                                    std::vector<ExprPtr> left_keys,
-                                    std::vector<ExprPtr> right_keys,
+                                    const std::vector<ExprPtr>& left_keys,
+                                    const std::vector<ExprPtr>& right_keys,
                                     JoinType join_type, int left_width,
                                     int right_width, const ExprPtr& residual,
                                     double left_belief, double right_belief,
@@ -195,22 +190,18 @@ class Executor {
   /// Prepares a vectorized scan of `node` (a kScan over a memstore-cached
   /// table): applies partition pruning, compiles the scan predicate, and
   /// fills `out`. Returns false — without touching metrics — when the
-  /// vectorized path does not apply (flag off, table not cached in columnar
-  /// form, or the predicate does not compile).
-  bool PrepareVecScan(const LogicalPlan& node, vec::VecScan* out);
+  /// vectorized path does not apply (flag off, or the table is not cached in
+  /// columnar form).
+  Result<bool> PrepareVecScan(const LogicalPlan& node, vec::VecScan* out);
 
   /// Partition pruning over a cached table (updates scan metrics); shared by
   /// the scalar scan and the vectorized fast paths.
   RddPtr<TablePartitionPtr> PruneCachedScan(TableInfo* info,
                                             const LogicalPlan& node);
 
-  /// Vectorized scan->filter->group-by fast path; returns null when not
-  /// applicable (child is not a cached scan, or an expression does not
-  /// compile).
-  Result<RddPtr<Row>> TryVecAggregate(const LogicalPlan& node);
-
-  RddPtr<Row> ApplyPredicate(RddPtr<Row> rows, const ExprPtr& predicate,
-                             const std::string& label);
+  /// Filters `rows` with the compiled predicate (null: no filter).
+  Result<RddPtr<Row>> ApplyPredicate(RddPtr<Row> rows, const ExprPtr& predicate,
+                                     const std::string& label);
 
   int FineBuckets() const;
   /// Static reducer choice for the stage rooted at `node` (Hive heuristic

@@ -15,7 +15,9 @@ namespace shark {
 
 /// User-defined scalar functions (§4: UDFs are first-class; their unknown
 /// selectivity is what motivates PDE). `cpu_cost_factor` scales the per-row
-/// evaluation charge relative to a builtin.
+/// evaluation charge relative to a builtin. UDFs must be pure and total:
+/// compiled programs evaluate both operands of AND/OR and every CASE
+/// branch, so a UDF may run on rows the interpreter would short-circuit.
 class UdfRegistry {
  public:
   using ScalarFn = std::function<Value(const std::vector<Value>&)>;
@@ -33,7 +35,9 @@ class UdfRegistry {
   std::map<std::string, UdfInfo> udfs_;  // upper-cased names
 };
 
-/// Evaluates a bound expression (no kColumnRef nodes) against a row.
+/// Tree-interpreting evaluator of a bound expression (no kColumnRef nodes)
+/// against a row: the reference oracle's evaluator and planner constant
+/// folding; the executor runs CompiledExpr programs instead.
 /// SQL semantics: NULL propagates through operators; comparisons with NULL
 /// yield NULL (rendered as a null Value).
 Value EvalExpr(const Expr& expr, const Row& row, const UdfRegistry* udfs);

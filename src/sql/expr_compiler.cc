@@ -198,48 +198,63 @@ Status ExprCompiler::Emit(const Expr& expr, CompiledExpr* out) const {
   return Status::Internal("unknown expr kind");
 }
 
-namespace {
-
-/// Static stack-depth bound of a postfix program.
-int MaxDepth(const Expr& e) {
-  // Conservative: children evaluated left to right, each result kept.
-  int depth = 0;
-  int running = 0;
-  for (const auto& c : e.children) {
-    depth = std::max(depth, running + MaxDepth(*c));
-    running += 1;
-  }
-  return std::max(depth, running + 1);
-}
-
-}  // namespace
-
 Result<CompiledExpr> ExprCompiler::Compile(const Expr& expr) const {
-  if (MaxDepth(expr) > CompiledExpr::kMaxStackDepth) {
-    return Status::NotImplemented("expression too deep to compile");
-  }
+  using Op = CompiledExpr::Op;
   CompiledExpr out;
   SHARK_RETURN_NOT_OK(Emit(expr, &out));
+  // Net operand-stack change of one instruction (pushes minus pops).
+  auto effect = [](const CompiledExpr::Instruction& ins) -> int {
+    switch (ins.op) {
+      case Op::kConst:
+      case Op::kSlot:
+      case Op::kCmpSlotConst:
+      case Op::kBetweenSlotConst:
+        return 1;
+      case Op::kNeg:
+      case Op::kNot:
+      case Op::kIsNull:
+        return 0;
+      case Op::kBinary:
+      case Op::kLike:
+        return -1;
+      case Op::kBetween:
+        return -2;
+      case Op::kBuiltin:
+      case Op::kUdf:
+        return 1 - ins.arg2;
+      case Op::kInList:
+        return -ins.arg2;
+      case Op::kCase:
+        return 1 - (2 * ins.arg2 + ins.arg);
+    }
+    return 0;
+  };
+  int depth = 0;
+  for (const CompiledExpr::Instruction& ins : out.code_) {
+    depth += effect(ins);
+    out.max_depth_ = std::max(out.max_depth_, static_cast<size_t>(depth));
+  }
   return out;
 }
 
 Value CompiledExpr::Eval(const Row& row) const {
-  // Fixed-size operand stack (depth validated at compile time), reused
+  // Operand stack sized to the program's compile-time depth and reused
   // across evaluations: no allocation or Value construction per row — the
   // key advantage over tree interpretation. Slots are always written before
   // they are read, so stale values from earlier rows are harmless.
   struct Stack {
-    Value slots[kMaxStackDepth];
-    int sp = 0;
+    std::vector<Value> slots;
+    size_t sp = 0;
     void push_back(Value v) { slots[sp++] = std::move(v); }
     void pop_back() { --sp; }
     Value& back() { return slots[sp - 1]; }
     Value& operator[](size_t i) { return slots[i]; }
-    size_t size() const { return static_cast<size_t>(sp); }
-    void resize(size_t n) { sp = static_cast<int>(n); }
-    Value* end() { return slots + sp; }
+    size_t size() const { return sp; }
+    void resize(size_t n) { sp = n; }
+    Value* end() { return slots.data() + sp; }
   };
   thread_local Stack stack;
+  if (stack.slots.size() < max_depth_) stack.slots.resize(max_depth_);
   stack.sp = 0;
   for (const Instruction& ins : code_) {
     switch (ins.op) {

@@ -14,8 +14,8 @@ struct ColumnBatch;
 struct ColumnVector;
 }  // namespace vec
 
-/// Scalar binary-op evaluation shared by the interpreter-compiled programs
-/// and the vectorized kernels' per-row fallback: SQL three-valued AND/OR,
+/// Scalar binary-op evaluation shared by CompiledExpr::Eval and the
+/// vectorized kernels' per-row fallback: SQL three-valued AND/OR,
 /// NULL propagation, wrapping BIGINT arithmetic, exact mixed-type compares.
 Value EvalBinaryScalar(BinaryOp op, const Value& l, const Value& r);
 
@@ -29,8 +29,10 @@ Value EvalBinaryScalar(BinaryOp op, const Value& l, const Value& r);
 /// LIKE patterns pre-validated.
 ///
 /// Short-circuit note: AND/OR compile to full evaluation of both operands
-/// with three-valued combination. Expressions are pure (UDFs included), so
-/// results are identical to the interpreter's.
+/// with three-valued combination, and CASE evaluates every branch.
+/// Expressions are pure and total (UDFs included), so results are identical
+/// to the interpreter's. The operand stack is sized from the program's
+/// maximum depth, computed at compile time, so any expression compiles.
 class CompiledExpr {
  public:
   /// Evaluates against a row.
@@ -52,6 +54,9 @@ class CompiledExpr {
                  vec::ColumnVector* out) const;
 
   size_t num_instructions() const { return code_.size(); }
+
+  /// Deepest operand stack the program reaches.
+  size_t max_stack_depth() const { return max_depth_; }
 
  private:
   friend class ExprCompiler;
@@ -83,11 +88,8 @@ class CompiledExpr {
     int32_t arg3 = 0;
   };
 
-  /// Maximum operand-stack depth any compiled program may need; deeper
-  /// expressions fail compilation and fall back to the interpreter.
-  static constexpr int kMaxStackDepth = 32;
-
   std::vector<Instruction> code_;
+  size_t max_depth_ = 0;
   std::vector<Value> constants_;
   std::vector<std::string> builtin_names_;
   std::vector<const UdfRegistry::UdfInfo*> udfs_;
@@ -99,8 +101,9 @@ class ExprCompiler {
  public:
   explicit ExprCompiler(const UdfRegistry* udfs) : udfs_(udfs) {}
 
-  /// Compiles a bound expression; fails only on unbound column refs or
-  /// aggregate calls (which never reach row-level evaluation).
+  /// Compiles a bound expression. Fails (Internal) only on unbound column
+  /// refs or aggregate calls, which the analyzer keeps from row-level
+  /// evaluation; callers surface that as an error, never a fallback.
   Result<CompiledExpr> Compile(const Expr& expr) const;
 
  private:

@@ -140,7 +140,12 @@ std::vector<Row> EvalAggregate(const LogicalPlan& plan,
       groups.emplace_back(std::move(key), InitAggState(plan.agg_calls));
       state = &groups.back().second;
     }
-    AccumulateRow(plan.agg_calls, r, udfs, state);
+    AccumulateArgs(
+        plan.agg_calls,
+        [&](size_t ci, size_t ai) {
+          return EvalExpr(*plan.agg_calls[ci].args[ai], r, udfs);
+        },
+        state);
   }
   // A global aggregate over zero rows produces zero rows (house semantics,
   // matching the shuffle-based engines).

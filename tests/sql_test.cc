@@ -137,6 +137,20 @@ TEST_F(SqlTest, OrderByWithLimit) {
   }
 }
 
+TEST_F(SqlTest, OrderByCountStarMatchesSelectItem) {
+  // COUNT(*) reads no column, so it also binds over the aggregate's output;
+  // it must still sort by the select item, not reach row evaluation.
+  QueryResult r = MustQuery(
+      "SELECT sourceIP, COUNT(*) FROM visits GROUP BY sourceIP "
+      "ORDER BY COUNT(*) DESC, sourceIP");
+  ASSERT_EQ(r.rows.size(), 7u);
+  EXPECT_EQ(r.rows[0].Get(1), Value::Int64(43));
+  EXPECT_EQ(r.rows[6].Get(1), Value::Int64(42));
+  for (size_t i = 1; i < 6; ++i) {
+    EXPECT_LT(r.rows[i - 1].Get(0).str(), r.rows[i].Get(0).str());
+  }
+}
+
 TEST_F(SqlTest, OrderByAscendingFullSort) {
   QueryResult r = MustQuery("SELECT pageRank FROM rankings ORDER BY pageRank");
   ASSERT_EQ(r.rows.size(), 100u);

@@ -434,7 +434,6 @@ class VecSqlTest : public ::testing::Test {
     }
     EXPECT_TRUE(session->CreateDfsTable("t", schema, rows, 4).ok());
     if (cache_) EXPECT_TRUE(session->CacheTable("t").ok());
-    session->options().compile_expressions = compile_;
     return session;
   }
 
@@ -487,7 +486,6 @@ class VecSqlTest : public ::testing::Test {
   }
 
   bool cache_ = true;
-  bool compile_ = false;
 };
 
 TEST_F(VecSqlTest, ScanFilterMatchesScalar) {
@@ -546,15 +544,6 @@ TEST_F(VecSqlTest, UncachedTableFallsBackToScalar) {
   RunPair p = RunBoth(q);
   // Not cached: both runs take the scalar DFS path.
   ExpectIdentical(p, q, false);
-}
-
-TEST_F(VecSqlTest, CompiledChargesStayIdentical) {
-  // With compile_expressions on, the scalar path charges the cheaper
-  // compiled formula; the vectorized path must mirror that choice.
-  compile_ = true;
-  const std::string q =
-      "SELECT name, SUM(x) FROM t WHERE y > 1.0 GROUP BY name";
-  ExpectIdentical(RunBoth(q), q, true);
 }
 
 }  // namespace

@@ -14,6 +14,11 @@ cmake -B build -S .
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
+echo "=== repo benchmark self-tests ==="
+# Unit tests of perfbench/run.py's helpers and of BENCHMARK.json's schema;
+# no build and no workload run.
+python3 perfbench/test_run.py
+
 echo "=== memory-pressure bench (smoke) ==="
 cmake --build build -j "$(nproc)" --target bench_memory_pressure
 build/bench/bench_memory_pressure --smoke
