@@ -126,7 +126,8 @@ namespace {
 /// (ShuffledReduceRdd<Row, AggState>) is reused unchanged, so the bucket
 /// payloads, byte/record statistics and every virtual-time charge must match
 /// CombiningShuffleDep<Row, Row, AggState>'s sequence exactly; comments
-/// below mark each replicated charge.
+/// below mark each replicated charge, and both finish through the same
+/// internal_shuffle::WriteCombined.
 class VecAggShuffleDep final : public ShuffleDependency {
  public:
   VecAggShuffleDep(
@@ -222,43 +223,14 @@ class VecAggShuffleDep final : public ShuffleDependency {
     for (size_t g = 0; g < table.size(); ++g) {
       combined.emplace(table.group_keys()[g], std::move(states[g]));
     }
-    std::vector<std::vector<std::pair<Row, AggState>>> buckets(
-        static_cast<size_t>(num_buckets_));
-    uint64_t distinct = combined.size();
-    for (auto& [k, c] : combined) {
-      auto b = static_cast<size_t>(KeyHash(k) %
-                                   static_cast<uint64_t>(num_buckets_));
-      buckets[b].emplace_back(k, std::move(c));
-    }
-    MapOutput out;
-    out.on_disk = tctx->profile().shuffle_through_disk;
-    out.buckets.reserve(buckets.size());
-    uint64_t out_bytes = 0;
-    uint64_t out_records = 0;
-    uint64_t raw_bytes = 0;
-    for (auto& bucket : buckets) {
-      raw_bytes += ApproxSizeOfRange(bucket);
-      uint64_t adjusted = static_cast<uint64_t>(
-          static_cast<double>(ApproxSizeOfRange(bucket)) * byte_adjust);
-      out_records += bucket.size();
-      out_bytes += adjusted;
-      out.bucket_bytes.push_back(adjusted);
-      out.bucket_records.push_back(bucket.size());
-      out.bucket_cost_scale.push_back(byte_adjust);
-      out.buckets.push_back(
-          std::make_shared<const std::vector<std::pair<Row, AggState>>>(
-              std::move(bucket)));
-    }
-    tctx->ReserveOrSpillHash(raw_bytes, distinct);
-    tctx->ReleaseAllWorkingSet();
-    internal_shuffle::ChargeMapOutputWrite(out_bytes, out_records, fed, tctx);
-    return out;
+    return internal_shuffle::WriteCombined(&combined, num_buckets_,
+                                           byte_adjust, fed, tctx);
   }
 
-  void CollectKeyStats(const BlockData& bucket, HeavyHitters* hh,
+  void CollectKeyStats(const BlockData& records, HeavyHitters* hh,
                        ApproxHistogram* hist) const override {
     const auto& in = *std::static_pointer_cast<
-        const std::vector<std::pair<Row, AggState>>>(bucket);
+        const std::vector<std::pair<Row, AggState>>>(records);
     for (const auto& [k, c] : in) {
       internal_shuffle::AddKeyToStats(k, hh, hist);
     }

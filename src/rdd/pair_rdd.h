@@ -54,6 +54,82 @@ void AddKeyToStats(const K& key, HeavyHitters* hh, ApproxHistogram* hist) {
   }
 }
 
+/// Lays records out as one map output: a stable counting sort by bucket, so
+/// records land bucket by bucket, each bucket in input order — the order a
+/// per-bucket split produces. `bucket_of[i]` is record i's bucket and
+/// `take(i)` yields record i; each bucket's bytes are its ApproxSizeOf total.
+template <typename T, typename Take>
+MapOutput GroupByBucket(int num_buckets, const std::vector<uint32_t>& bucket_of,
+                        Take take) {
+  const size_t n = bucket_of.size();
+  const auto nb = static_cast<size_t>(num_buckets);
+  SHARK_CHECK(n <= UINT32_MAX);
+  MapOutput out;
+  // Count into offsets[b], prefix-sum to bucket ends, then place records
+  // back to front so each offsets[b] steps down to its bucket's start.
+  out.offsets.assign(nb + 1, 0);
+  for (uint32_t b : bucket_of) {
+    SHARK_CHECK(b < nb);
+    ++out.offsets[b];
+  }
+  for (size_t b = 1; b < nb; ++b) out.offsets[b] += out.offsets[b - 1];
+  out.offsets[nb] = static_cast<uint32_t>(n);
+  std::vector<uint32_t> order(n);
+  for (size_t i = n; i-- > 0;) {
+    order[--out.offsets[bucket_of[i]]] = static_cast<uint32_t>(i);
+  }
+  out.bucket_bytes.assign(nb, 0);
+  auto records = std::make_shared<std::vector<T>>();
+  records->reserve(n);
+  for (uint32_t i : order) {
+    records->push_back(take(i));
+    out.bucket_bytes[bucket_of[i]] += ApproxSizeOf(records->back());
+  }
+  out.records = std::move(records);
+  return out;
+}
+
+/// Writes a map-side combine table as one map output and charges the
+/// combine working set and the shuffle write. Records are split by key hash;
+/// each bucket's bytes are pre-scaled by `byte_adjust` (the distinct-growth
+/// adjustment) and the reduce side scales its per-record charges by the
+/// same factor.
+template <typename K, typename C>
+MapOutput WriteCombined(std::unordered_map<K, C, KeyHasher<K>>* combined,
+                        int num_buckets, double byte_adjust,
+                        uint64_t input_records, TaskContext* tctx) {
+  std::vector<std::pair<const K, C>*> entries;
+  std::vector<uint32_t> bucket_of;
+  entries.reserve(combined->size());
+  bucket_of.reserve(combined->size());
+  for (auto& e : *combined) {
+    entries.push_back(&e);
+    bucket_of.push_back(static_cast<uint32_t>(
+        KeyHash(e.first) % static_cast<uint64_t>(num_buckets)));
+  }
+  MapOutput out = GroupByBucket<std::pair<K, C>>(
+      num_buckets, bucket_of, [&](uint32_t i) {
+        return std::pair<K, C>(entries[i]->first, std::move(entries[i]->second));
+      });
+  out.on_disk = tctx->profile().shuffle_through_disk;
+  out.cost_scale = byte_adjust;
+  uint64_t out_bytes = 0;
+  uint64_t raw_bytes = 0;  // resident combine-table size, unadjusted
+  for (uint64_t& bytes : out.bucket_bytes) {
+    if (bytes == 0) continue;
+    raw_bytes += bytes;
+    bytes = static_cast<uint64_t>(static_cast<double>(bytes) * byte_adjust);
+    out_bytes += bytes;
+  }
+  // The combine table held one (key, combiner) pair per distinct key;
+  // when it exceeds the task's budget the combiner degrades to grace-hash
+  // partitioning (spill I/O charged by the context).
+  tctx->ReserveOrSpillHash(raw_bytes, combined->size());
+  tctx->ReleaseAllWorkingSet();
+  ChargeMapOutputWrite(out_bytes, out.num_records(), input_records, tctx);
+  return out;
+}
+
 }  // namespace internal_shuffle
 
 /// Hash-partitions elements into buckets with a caller-supplied bucket
@@ -75,30 +151,25 @@ class PlainShuffleDep final : public ShuffleDependency {
   MapOutput PartitionBlock(const BlockData& block,
                            TaskContext* tctx) const override {
     const auto& in = *std::static_pointer_cast<const std::vector<T>>(block);
-    std::vector<std::vector<T>> buckets(static_cast<size_t>(num_buckets_));
+    std::vector<uint32_t> bucket_of;
+    bucket_of.reserve(in.size());
     for (const T& x : in) {
-      int b = bucket_fn_(x);
-      buckets[static_cast<size_t>(b)].push_back(x);
+      bucket_of.push_back(static_cast<uint32_t>(bucket_fn_(x)));
     }
-    tctx->work().rows_processed += in.size();
-    internal_shuffle::ChargeMapOutputWrite(ApproxSizeOfRange(in), in.size(),
-                                           in.size(), tctx);
-    MapOutput out;
+    // Plain repartitioning scales linearly with the input: cost_scale 1.
+    MapOutput out = internal_shuffle::GroupByBucket<T>(
+        num_buckets_, bucket_of, [&](uint32_t i) { return in[i]; });
     out.on_disk = tctx->profile().shuffle_through_disk;
-    out.buckets.reserve(buckets.size());
-    for (auto& b : buckets) {
-      // Plain repartitioning scales linearly with the input: no adjustment.
-      out.bucket_bytes.push_back(ApproxSizeOfRange(b));
-      out.bucket_records.push_back(b.size());
-      out.buckets.push_back(std::make_shared<const std::vector<T>>(std::move(b)));
-    }
+    tctx->work().rows_processed += in.size();
+    internal_shuffle::ChargeMapOutputWrite(out.TotalBytes(), in.size(),
+                                           in.size(), tctx);
     return out;
   }
 
-  void CollectKeyStats(const BlockData& bucket, HeavyHitters* hh,
+  void CollectKeyStats(const BlockData& records, HeavyHitters* hh,
                        ApproxHistogram* hist) const override {
     if (!stats_fn_) return;
-    const auto& in = *std::static_pointer_cast<const std::vector<T>>(bucket);
+    const auto& in = *std::static_pointer_cast<const std::vector<T>>(records);
     for (const T& x : in) stats_fn_(x, hh, hist);
   }
 
@@ -183,47 +254,14 @@ class CombiningShuffleDep final : public ShuffleDependency {
     }
     double growth = DistinctGrowthFactorSplit(sample, tctx->virtual_scale());
     double byte_adjust = growth / std::max(tctx->virtual_scale(), 1.0);
-
-    std::vector<std::vector<std::pair<K, C>>> buckets(
-        static_cast<size_t>(num_buckets_));
-    uint64_t distinct = combined.size();
-    for (auto& [k, c] : combined) {
-      auto b = static_cast<size_t>(KeyHash(k) %
-                                   static_cast<uint64_t>(num_buckets_));
-      buckets[b].emplace_back(k, std::move(c));
-    }
-    MapOutput out;
-    out.on_disk = tctx->profile().shuffle_through_disk;
-    out.buckets.reserve(buckets.size());
-    uint64_t out_bytes = 0;
-    uint64_t out_records = 0;
-    uint64_t raw_bytes = 0;  // resident combine-table size, unadjusted
-    for (auto& bucket : buckets) {
-      raw_bytes += ApproxSizeOfRange(bucket);
-      uint64_t adjusted = static_cast<uint64_t>(
-          static_cast<double>(ApproxSizeOfRange(bucket)) * byte_adjust);
-      out_records += bucket.size();
-      out_bytes += adjusted;
-      out.bucket_bytes.push_back(adjusted);
-      out.bucket_records.push_back(bucket.size());
-      out.bucket_cost_scale.push_back(byte_adjust);
-      out.buckets.push_back(
-          std::make_shared<const std::vector<std::pair<K, C>>>(std::move(bucket)));
-    }
-    // The combine table held one (key, combiner) pair per distinct key;
-    // when it exceeds the task's budget the combiner degrades to grace-hash
-    // partitioning (spill I/O charged by the context).
-    tctx->ReserveOrSpillHash(raw_bytes, distinct);
-    tctx->ReleaseAllWorkingSet();
-    internal_shuffle::ChargeMapOutputWrite(out_bytes, out_records, in.size(),
-                                           tctx);
-    return out;
+    return internal_shuffle::WriteCombined(&combined, num_buckets_,
+                                           byte_adjust, in.size(), tctx);
   }
 
-  void CollectKeyStats(const BlockData& bucket, HeavyHitters* hh,
+  void CollectKeyStats(const BlockData& records, HeavyHitters* hh,
                        ApproxHistogram* hist) const override {
     const auto& in =
-        *std::static_pointer_cast<const std::vector<std::pair<K, C>>>(bucket);
+        *std::static_pointer_cast<const std::vector<std::pair<K, C>>>(records);
     for (const auto& [k, c] : in) {
       internal_shuffle::AddKeyToStats(k, hh, hist);
     }
@@ -274,7 +312,7 @@ class ShuffledReduceRdd final : public TypedRdd<std::pair<K, C>> {
   typename TypedRdd<std::pair<K, C>>::Block Compute(
       int p, TaskContext* tctx) const override {
     double effective_records = 0.0;
-    std::vector<BlockData> buckets = tctx->FetchShuffleBuckets(
+    std::vector<ShuffleSlice> slices = tctx->FetchShuffleBuckets(
         dep_->shuffle_id(), assignment_[static_cast<size_t>(p)],
         &effective_records);
     std::unordered_map<K, C, KeyHasher<K>> merged;
@@ -283,10 +321,10 @@ class ShuffledReduceRdd final : public TypedRdd<std::pair<K, C>> {
     // that the cost model's uniform scaling stays faithful.
     tctx->work().hash_records += static_cast<uint64_t>(effective_records);
     tctx->work().rows_processed += static_cast<uint64_t>(effective_records);
-    for (const BlockData& b : buckets) {
-      auto vec = std::static_pointer_cast<const std::vector<std::pair<K, C>>>(b);
-      records_in += vec->size();
-      for (const auto& [k, c] : *vec) {
+    for (const ShuffleSlice& s : slices) {
+      auto recs = s.As<std::pair<K, C>>();
+      records_in += recs.size();
+      for (const auto& [k, c] : recs) {
         auto it = merged.find(k);
         if (it == merged.end()) {
           merged.emplace(k, c);
@@ -342,16 +380,16 @@ class ShuffledGroupRdd final
 
   typename TypedRdd<std::pair<K, std::vector<V>>>::Block Compute(
       int p, TaskContext* tctx) const override {
-    std::vector<BlockData> buckets = tctx->FetchShuffleBuckets(
+    std::vector<ShuffleSlice> slices = tctx->FetchShuffleBuckets(
         dep_->shuffle_id(), assignment_[static_cast<size_t>(p)]);
     std::unordered_map<K, std::vector<V>, KeyHasher<K>> groups;
     uint64_t records_in = 0;
-    for (const BlockData& b : buckets) {
-      auto vec = std::static_pointer_cast<const std::vector<std::pair<K, V>>>(b);
-      tctx->work().hash_records += vec->size();
-      tctx->work().rows_processed += vec->size();
-      records_in += vec->size();
-      for (const auto& [k, v] : *vec) groups[k].push_back(v);
+    for (const ShuffleSlice& s : slices) {
+      auto recs = s.As<std::pair<K, V>>();
+      tctx->work().hash_records += recs.size();
+      tctx->work().rows_processed += recs.size();
+      records_in += recs.size();
+      for (const auto& [k, v] : recs) groups[k].push_back(v);
     }
     typename TypedRdd<std::pair<K, std::vector<V>>>::Block out;
     out.reserve(groups.size());
@@ -395,9 +433,9 @@ class CoGroupedRdd final
   typename TypedRdd<Element>::Block Compute(int p,
                                             TaskContext* tctx) const override {
     const auto& my_buckets = assignment_[static_cast<size_t>(p)];
-    std::vector<BlockData> lbs =
+    std::vector<ShuffleSlice> lslices =
         tctx->FetchShuffleBuckets(left_->shuffle_id(), my_buckets);
-    std::vector<BlockData> rbs =
+    std::vector<ShuffleSlice> rslices =
         tctx->FetchShuffleBuckets(right_->shuffle_id(), my_buckets);
     // Local join algorithm selection (§3.1.1): build the hash table over the
     // smaller input, stream the other. Costs are hash-record charges; the
@@ -406,26 +444,26 @@ class CoGroupedRdd final
                        KeyHasher<K>>
         table;
     uint64_t left_ws = 0, left_records = 0;
-    for (const BlockData& b : lbs) {
-      auto vec = std::static_pointer_cast<const std::vector<std::pair<K, V>>>(b);
-      tctx->work().hash_records += vec->size();
-      tctx->work().rows_processed += vec->size();
-      left_ws += ApproxSizeOfRange(*vec);
-      left_records += vec->size();
-      for (const auto& [k, v] : *vec) table[k].first.push_back(v);
+    for (const ShuffleSlice& s : lslices) {
+      auto recs = s.As<std::pair<K, V>>();
+      tctx->work().hash_records += recs.size();
+      tctx->work().rows_processed += recs.size();
+      left_ws += ApproxSizeOfRange(recs);
+      left_records += recs.size();
+      for (const auto& [k, v] : recs) table[k].first.push_back(v);
     }
     // Join build table: reserve the left side, then grow by the right side;
     // whichever extension overruns the task's budget degrades to grace-hash
     // spill partitions.
     tctx->ReserveOrSpillHash(left_ws, left_records);
     uint64_t right_ws = 0, right_records = 0;
-    for (const BlockData& b : rbs) {
-      auto vec = std::static_pointer_cast<const std::vector<std::pair<K, W>>>(b);
-      tctx->work().hash_records += vec->size();
-      tctx->work().rows_processed += vec->size();
-      right_ws += ApproxSizeOfRange(*vec);
-      right_records += vec->size();
-      for (const auto& [k, w] : *vec) table[k].second.push_back(w);
+    for (const ShuffleSlice& s : rslices) {
+      auto recs = s.As<std::pair<K, W>>();
+      tctx->work().hash_records += recs.size();
+      tctx->work().rows_processed += recs.size();
+      right_ws += ApproxSizeOfRange(recs);
+      right_records += recs.size();
+      for (const auto& [k, w] : recs) table[k].second.push_back(w);
     }
     tctx->GrowOrSpillHash(right_ws, right_records);
     typename TypedRdd<Element>::Block out;
@@ -459,12 +497,12 @@ class RepartitionedRdd final : public TypedRdd<T> {
   }
 
   typename TypedRdd<T>::Block Compute(int p, TaskContext* tctx) const override {
-    std::vector<BlockData> buckets = tctx->FetchShuffleBuckets(
+    std::vector<ShuffleSlice> slices = tctx->FetchShuffleBuckets(
         dep_->shuffle_id(), assignment_[static_cast<size_t>(p)]);
     typename TypedRdd<T>::Block out;
-    for (const BlockData& b : buckets) {
-      auto vec = std::static_pointer_cast<const std::vector<T>>(b);
-      out.insert(out.end(), vec->begin(), vec->end());
+    for (const ShuffleSlice& s : slices) {
+      auto recs = s.As<T>();
+      out.insert(out.end(), recs.begin(), recs.end());
     }
     tctx->work().rows_processed += out.size();
     internal_shuffle::ChargeStageMaterialization(ApproxSizeOfRange(out), tctx);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -53,10 +54,15 @@ uint64_t ApproxSizeOf(const std::vector<T>& v) {
 }
 
 template <typename T>
-uint64_t ApproxSizeOfRange(const std::vector<T>& v) {
+uint64_t ApproxSizeOfRange(std::span<const T> v) {
   uint64_t total = 0;
   for (const T& x : v) total += ApproxSizeOf(x);
   return total;
+}
+
+template <typename T>
+uint64_t ApproxSizeOfRange(const std::vector<T>& v) {
+  return ApproxSizeOfRange(std::span<const T>(v));
 }
 
 // ---------------------------------------------------------------------------
@@ -102,15 +108,16 @@ class ShuffleDependency {
 
   /// Splits one parent block into `num_buckets` buckets, charging map-side
   /// costs (combine hashing, optional sort, shuffle write). Fills the
-  /// MapOutput's buckets plus their byte/record metadata; byte sizes of
+  /// MapOutput's records block, offsets and bucket bytes; byte sizes of
   /// cardinality-bounded (combined) outputs are pre-adjusted with the
   /// distinct-growth estimator so that the cost model's uniform virtual
   /// scaling yields faithful shuffle volumes.
   virtual MapOutput PartitionBlock(const BlockData& block,
                                    TaskContext* tctx) const = 0;
 
-  /// Folds the bucket's keys into the PDE statistics sketches.
-  virtual void CollectKeyStats(const BlockData& bucket, HeavyHitters* hh,
+  /// Folds the keys of one map output's records block into the PDE
+  /// statistics sketches, in block order.
+  virtual void CollectKeyStats(const BlockData& records, HeavyHitters* hh,
                                ApproxHistogram* hist) const = 0;
 
  protected:

@@ -246,18 +246,19 @@ Status DagScheduler::RunMapTasks(const std::shared_ptr<ShuffleDependency>& dep,
     TaskOutcome o;
     BlockData parent_block = dep->parent()->GetOrComputeErased(p, tctx);
     o.map_output = dep->PartitionBlock(parent_block, tctx);
-    for (uint64_t r : o.map_output.bucket_records) o.rows_out += r;
-    for (uint64_t b : o.map_output.bucket_bytes) o.bytes_out += b;
+    o.rows_out = o.map_output.num_records();
+    o.bytes_out = o.map_output.TotalBytes();
     return o;
   };
   auto commit = [&](int i, TaskOutcome&& o, int node) {
     int p = map_partitions[static_cast<size_t>(i)];
     o.map_output.node = node;
+    // One pass over the records block feeds the order-sensitive sketches
+    // bucket by bucket, each bucket in writer order.
     if (!sm.StatsRecorded(shuffle_id, p)) {
       ShuffleStats* stats = sm.MutableStats(shuffle_id);
-      for (const BlockData& b : o.map_output.buckets) {
-        dep->CollectKeyStats(b, &stats->heavy_hitters, &stats->key_histogram);
-      }
+      dep->CollectKeyStats(o.map_output.records, &stats->heavy_hitters,
+                           &stats->key_histogram);
     }
     sm.PutMapOutput(shuffle_id, p, std::move(o.map_output));
   };

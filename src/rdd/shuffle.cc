@@ -6,6 +6,12 @@
 
 namespace shark {
 
+uint64_t MapOutput::TotalBytes() const {
+  uint64_t total = 0;
+  for (uint64_t b : bucket_bytes) total += b;
+  return total;
+}
+
 int ShuffleManager::RegisterShuffle(int num_map_partitions, int num_buckets) {
   SHARK_CHECK(num_map_partitions > 0 && num_buckets > 0);
   int id = next_id_++;
@@ -43,19 +49,32 @@ void ShuffleManager::PutMapOutput(int shuffle_id, int map_partition,
   auto it = shuffles_.find(shuffle_id);
   SHARK_CHECK(it != shuffles_.end());
   ShuffleState& state = it->second;
+  SHARK_CHECK(map_partition >= 0 &&
+              static_cast<size_t>(map_partition) < state.outputs.size());
+  SHARK_CHECK(output.num_buckets() == state.num_buckets &&
+              output.bucket_bytes.size() ==
+                  static_cast<size_t>(state.num_buckets));
   auto& slot = state.outputs[static_cast<size_t>(map_partition)];
   bool recorded = state.stats_recorded[static_cast<size_t>(map_partition)] != 0;
   // Fold this task's sizes into the master's statistics. Sizes pass through
   // the lossy 1-byte log encoding (§3.1), so the optimizer sees what a real
-  // Shark master would see. A re-execution after failure does not double
-  // count.
+  // Shark master would see. Empty buckets must have zero bytes (fetches
+  // skip them unread) and add nothing. A re-execution after failure does
+  // not double count.
   if (!recorded) {
-    for (size_t b = 0; b < output.bucket_bytes.size(); ++b) {
-      uint64_t approx = SizeEncoding::Decode(SizeEncoding::Encode(output.bucket_bytes[b]));
-      state.stats.bucket_bytes[b] += approx;
+    for (int b = 0; b < state.num_buckets; ++b) {
+      const auto bi = static_cast<size_t>(b);
+      const uint32_t records = output.BucketRecords(b);
+      if (records == 0) {
+        SHARK_CHECK(output.bucket_bytes[bi] == 0);
+        continue;
+      }
+      uint64_t approx =
+          SizeEncoding::Decode(SizeEncoding::Encode(output.bucket_bytes[bi]));
+      state.stats.bucket_bytes[bi] += approx;
       state.stats.total_bytes += approx;
-      state.stats.bucket_records[b] += output.bucket_records[b];
-      state.stats.total_records += output.bucket_records[b];
+      state.stats.bucket_records[bi] += records;
+      state.stats.total_records += records;
     }
     state.stats_recorded[static_cast<size_t>(map_partition)] = 1;
   }
@@ -66,10 +85,8 @@ void ShuffleManager::PutMapOutput(int shuffle_id, int map_partition,
   ReleaseLedger(&slot);
   output.present = true;
   if (!output.on_disk && memory_manager_ != nullptr) {
-    uint64_t total = 0;
-    for (uint64_t b : output.bucket_bytes) total += b;
-    output.ledger_bytes = total;
-    memory_manager_->AddShuffleBytes(output.node, total);
+    output.ledger_bytes = output.TotalBytes();
+    memory_manager_->AddShuffleBytes(output.node, output.ledger_bytes);
   } else {
     output.ledger_bytes = 0;
   }
@@ -86,13 +103,20 @@ void ShuffleManager::ReleaseLedger(MapOutput* out) {
 const MapOutput* ShuffleManager::GetMapOutput(int shuffle_id,
                                               int map_partition) const {
   const ShuffleState& state = GetState(shuffle_id);
+  SHARK_CHECK(map_partition >= 0 &&
+              static_cast<size_t>(map_partition) < state.outputs.size());
   const MapOutput& out = state.outputs[static_cast<size_t>(map_partition)];
   // An output lost to a node death (DropNode leaves node >= 0 but clears
-  // present and the buckets) must read as absent, not as an empty output —
+  // present and the records) must read as absent, not as an empty output —
   // otherwise a reduce-side fetch would silently consume cleared buckets
   // instead of triggering lineage recomputation.
   if (!out.present) return nullptr;
   return &out;
+}
+
+const std::vector<MapOutput>& ShuffleManager::MapOutputs(
+    int shuffle_id) const {
+  return GetState(shuffle_id).outputs;
 }
 
 bool ShuffleManager::IsComplete(int shuffle_id) const {
@@ -134,7 +158,9 @@ void ShuffleManager::DropNode(int node) {
       if (out.present && out.node == node) {
         ReleaseLedger(&out);
         out.present = false;
-        out.buckets.clear();
+        out.records.reset();
+        out.offsets = {};
+        out.bucket_bytes = {};
       }
     }
   }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/heavy_hitters.h"
@@ -26,19 +27,29 @@ struct ShuffleStats {
   ApproxHistogram key_histogram{64};
 };
 
-/// Output of one map task of a shuffle: one bucket per fine-grained reduce
-/// partition, resident on the node that ran the map task (in memory for
-/// Shark, on local disk for Hadoop — the profile decides the fetch cost).
+/// Output of one map task of a shuffle, resident on the node that ran the
+/// map task (in memory for Shark, on local disk for Hadoop — the profile
+/// decides the fetch cost). All records sit in one block grouped by bucket:
+/// bucket 0's records, then bucket 1's, and so on, each bucket in the order
+/// its writer produced it. One pass over `records` therefore visits them in
+/// exactly the order a per-bucket split would; PDE's key statistics and the
+/// reducers' hash tables depend on that order. An empty bucket costs two
+/// equal offsets and a zero byte count, nothing more.
 struct MapOutput {
   bool present = false;
   int node = -1;
-  std::vector<BlockData> buckets;
+  /// std::vector<T> of the shuffle's record type, grouped by bucket.
+  BlockData records;
+  /// Bucket b holds records [offsets[b], offsets[b + 1]); num_buckets + 1
+  /// entries.
+  std::vector<uint32_t> offsets;
+  /// Bytes per bucket as the cost model sees them (exact, not log-encoded);
+  /// zero for every empty bucket.
   std::vector<uint64_t> bucket_bytes;
-  std::vector<uint64_t> bucket_records;
   /// Multiplier translating real per-record reduce-side charges into
   /// faithful virtual charges for cardinality-bounded (combined) outputs;
-  /// empty means 1.0 (linear scaling is already correct).
-  std::vector<double> bucket_cost_scale;
+  /// 1.0 where linear scaling is already correct.
+  double cost_scale = 1.0;
   /// Serving mode (§5's memory-based shuffle knob, now per output): false =
   /// buckets stay in the map node's memory and fetches cost mem/net; true =
   /// buckets live on local disk (the Hadoop profile's global default, or a
@@ -47,6 +58,30 @@ struct MapOutput {
   /// Bytes this output charges to the node's shuffle-buffer ledger while
   /// resident in memory (0 when on_disk). Managed by ShuffleManager.
   uint64_t ledger_bytes = 0;
+
+  int num_buckets() const {
+    return offsets.empty() ? 0 : static_cast<int>(offsets.size()) - 1;
+  }
+  uint32_t num_records() const { return offsets.empty() ? 0 : offsets.back(); }
+  uint32_t BucketRecords(int b) const {
+    return offsets[static_cast<size_t>(b) + 1] - offsets[static_cast<size_t>(b)];
+  }
+  uint64_t TotalBytes() const;
+};
+
+/// A contiguous run of one map output's records, as a reduce-side fetch
+/// hands them out: elements [begin, end) of `records`.
+struct ShuffleSlice {
+  BlockData records;
+  uint32_t begin = 0;
+  uint32_t end = 0;
+
+  /// The run typed as the shuffle's record type T.
+  template <typename T>
+  std::span<const T> As() const {
+    const auto& v = *static_cast<const std::vector<T>*>(records.get());
+    return std::span<const T>(v.data() + begin, end - begin);
+  }
 };
 
 /// Tracks materialized map outputs per shuffle. Lost outputs (node failure)
@@ -66,12 +101,19 @@ class ShuffleManager {
   int NumBuckets(int shuffle_id) const;
   int NumMapPartitions(int shuffle_id) const;
 
-  /// Stores one map task's output and folds its sizes into the stats.
+  /// Stores one map task's output and folds its sizes into the stats. The
+  /// output must have exactly the shuffle's bucket count, and no bytes in an
+  /// empty bucket.
   void PutMapOutput(int shuffle_id, int map_partition, MapOutput output);
 
   /// nullptr if absent — never computed, or lost to a failure. A non-null
   /// result is always present (fetchable).
   const MapOutput* GetMapOutput(int shuffle_id, int map_partition) const;
+
+  /// Every map output slot of a shuffle, indexed by map partition; a slot
+  /// that is not `present` is absent exactly as GetMapOutput reports it.
+  /// Lets a fetch resolve the shuffle once instead of once per map.
+  const std::vector<MapOutput>& MapOutputs(int shuffle_id) const;
 
   /// True once every map partition has a present output.
   bool IsComplete(int shuffle_id) const;

@@ -266,49 +266,56 @@ class TaskContext {
   /// Fetches the given fine-grained buckets of every map output of a
   /// shuffle, charging transfer costs (memory/disk/network according to the
   /// engine profile and output locality; locality-dependent parts are
-  /// deferred). Missing map outputs are recorded in missing_inputs().
-  std::vector<BlockData> FetchShuffleBuckets(int shuffle_id,
-                                             const std::vector<int>& buckets,
-                                             double* effective_records = nullptr) {
-    std::vector<BlockData> out;
-    int num_maps = shuffle_manager_->NumMapPartitions(shuffle_id);
-    for (int m = 0; m < num_maps; ++m) {
-      const MapOutput* mo = shuffle_manager_->GetMapOutput(shuffle_id, m);
-      // nullptr covers both never-computed and lost-to-failure outputs
+  /// deferred). Missing map outputs are recorded in missing_inputs(). The
+  /// slices follow map partition order, then the order of `buckets`; empty
+  /// buckets yield none, and back-to-back buckets of one output share one.
+  std::vector<ShuffleSlice> FetchShuffleBuckets(
+      int shuffle_id, const std::vector<int>& buckets,
+      double* effective_records = nullptr) {
+    std::vector<ShuffleSlice> out;
+    const std::vector<MapOutput>& outputs =
+        shuffle_manager_->MapOutputs(shuffle_id);
+    for (size_t m = 0; m < outputs.size(); ++m) {
+      const MapOutput& mo = outputs[m];
+      // Never-computed and lost-to-failure outputs both read absent
       // (GetMapOutput's contract); either way the scheduler must recompute.
-      if (mo == nullptr) {
-        missing_inputs_.emplace_back(shuffle_id, m);
+      if (!mo.present) {
+        missing_inputs_.emplace_back(shuffle_id, static_cast<int>(m));
         continue;
       }
       uint64_t bytes = 0;
       for (int b : buckets) {
         const auto bi = static_cast<size_t>(b);
-        if (mo->buckets[bi] != nullptr && mo->bucket_records[bi] > 0) {
-          out.push_back(mo->buckets[bi]);
-        }
-        bytes += mo->bucket_bytes[bi];
+        const uint32_t begin = mo.offsets[bi];
+        const uint32_t end = mo.offsets[bi + 1];
+        // Empty buckets hold zero bytes (PutMapOutput checks it).
+        if (begin == end) continue;
+        bytes += mo.bucket_bytes[bi];
         if (effective_records != nullptr) {
-          double cost_scale = mo->bucket_cost_scale.empty()
-                                  ? 1.0
-                                  : mo->bucket_cost_scale[bi];
-          *effective_records +=
-              static_cast<double>(mo->bucket_records[bi]) * cost_scale;
+          // One term per bucket: a sum per slice would round differently.
+          *effective_records += static_cast<double>(end - begin) * mo.cost_scale;
+        }
+        if (!out.empty() && out.back().records == mo.records &&
+            out.back().end == begin) {
+          out.back().end = end;
+        } else {
+          out.push_back(ShuffleSlice{mo.records, begin, end});
         }
       }
       if (bytes == 0) continue;
       // Per-output serving mode: §5's memory-based-shuffle knob resolved at
       // map launch (globally true for the Hadoop profile, per-node true when
       // the map node's memory budget had no room for the buckets).
-      if (mo->on_disk) {
+      if (mo.on_disk) {
         // The serving side reads its spilled map output from disk (one seek
         // per map output consulted), then ships it if remote.
         work_.disk_read_bytes += bytes;
         work_.disk_seeks += 1;
         deferred_charges_.push_back(DeferredCharge{
-            DeferredCharge::Kind::kNetIfRemote, bytes, mo->node, {}});
+            DeferredCharge::Kind::kNetIfRemote, bytes, mo.node, {}});
       } else {
         deferred_charges_.push_back(DeferredCharge{
-            DeferredCharge::Kind::kMemOrNet, bytes, mo->node, {}});
+            DeferredCharge::Kind::kMemOrNet, bytes, mo.node, {}});
       }
     }
     return out;

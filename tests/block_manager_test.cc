@@ -10,6 +10,19 @@ BlockData MakeBlock(int tag) {
   return std::make_shared<const std::vector<int>>(std::vector<int>{tag});
 }
 
+// A map output holding `records_per_bucket[b]` ints in bucket b, in the
+// single-block layout.
+MapOutput MakeMapOutput(int node, const std::vector<uint32_t>& records_per_bucket,
+                        std::vector<uint64_t> bucket_bytes) {
+  MapOutput out;
+  out.node = node;
+  out.offsets = {0};
+  for (uint32_t r : records_per_bucket) out.offsets.push_back(out.offsets.back() + r);
+  out.records = std::make_shared<const std::vector<int>>(out.offsets.back(), 0);
+  out.bucket_bytes = std::move(bucket_bytes);
+  return out;
+}
+
 TEST(BlockManagerTest, PutGetRoundTrip) {
   BlockManager bm(4, 1000);
   EXPECT_TRUE(bm.Put(1, 0, MakeBlock(7), 100, 2));
@@ -82,11 +95,7 @@ TEST(ShuffleManagerTest, RegisterPutFetchLifecycle) {
   EXPECT_FALSE(sm.IsComplete(id));
   EXPECT_EQ(sm.MissingMapPartitions(id).size(), 2u);
 
-  MapOutput out;
-  out.node = 1;
-  out.buckets = {MakeBlock(0), MakeBlock(1), MakeBlock(2)};
-  out.bucket_bytes = {10, 20, 30};
-  out.bucket_records = {1, 2, 3};
+  MapOutput out = MakeMapOutput(1, {1, 2, 3}, {10, 20, 30});
   sm.PutMapOutput(id, 0, out);
   EXPECT_FALSE(sm.IsComplete(id));
   sm.PutMapOutput(id, 1, out);
@@ -97,11 +106,7 @@ TEST(ShuffleManagerTest, RegisterPutFetchLifecycle) {
 TEST(ShuffleManagerTest, DropNodeMarksOutputsLostAndRecomputeDoesNotDoubleCount) {
   ShuffleManager sm;
   int id = sm.RegisterShuffle(1, 1);
-  MapOutput out;
-  out.node = 0;
-  out.buckets = {MakeBlock(0)};
-  out.bucket_bytes = {100};
-  out.bucket_records = {5};
+  MapOutput out = MakeMapOutput(0, {5}, {100});
   sm.PutMapOutput(id, 0, out);
   uint64_t bytes_before = sm.Stats(id).total_bytes;
   sm.DropNode(0);

@@ -15,6 +15,7 @@
 #include "rdd/job_manager.h"
 #include "rdd/pair_rdd.h"
 #include "sql/session.h"
+#include "workloads/pavlo.h"
 
 namespace shark {
 namespace {
@@ -566,6 +567,93 @@ TEST(DeterminismTest, ObservabilityPlaneDoesNotPerturbVirtualTime) {
   EXPECT_TRUE(plane_on == plane_off)
       << "observability plane perturbed the schedule (lengths "
       << plane_on.size() << " vs " << plane_off.size() << ")";
+}
+
+/// Sparse shuffles: the Pavlo aggregations and join with 1,600 fine buckets
+/// on an 8-core cluster, so almost every bucket of every map output is
+/// empty. Answers, virtual seconds and both profile renders must replay
+/// byte for byte across host-thread settings, with and without a node
+/// killed while a query's map stage runs.
+struct SparseRun {
+  std::string rendered;
+  std::vector<std::multiset<std::string>> answers;
+  int tasks_failed = 0;
+};
+
+SparseRun RunSparseShuffleSuite(int host_threads, bool kill) {
+  ClusterConfig cfg;
+  cfg.num_nodes = 4;
+  cfg.hardware.cores_per_node = 2;
+  cfg.host_threads = host_threads;
+  PavloConfig data;
+  data.rankings_rows = 400;
+  data.uservisits_rows = 2400;
+  data.rankings_blocks = 8;
+  data.uservisits_blocks = 16;
+  data.seed = 5;
+  // Small enough that map outputs stay memory-served and nothing spills.
+  cfg.virtual_data_scale = 2e4;
+  auto ctx = std::make_shared<ClusterContext>(cfg);
+  SharkSession session(ctx);
+  session.options().fine_buckets = 1600;
+  EXPECT_TRUE(GeneratePavloTables(&session, data).ok());
+  EXPECT_TRUE(session.CacheTable("rankings").ok());
+  EXPECT_TRUE(session.CacheTable("uservisits").ok());
+
+  SparseRun run;
+  for (const std::string& sql :
+       {PavloAggregationCoarseQuery(), PavloAggregationFineQuery(),
+        PavloJoinQuery()}) {
+    if (kill) {
+      ctx->InjectFault(
+          FaultEvent{FaultEvent::Kind::kKill, ctx->now() + 1.0, 1, 1.0});
+    }
+    auto r = session.Sql(sql);
+    EXPECT_TRUE(r.ok()) << r.status().ToString() << "\n" << sql;
+    if (kill) {
+      ctx->InjectFault(FaultEvent{FaultEvent::Kind::kRecover, ctx->now(), 1});
+    }
+    if (!r.ok()) continue;
+    std::multiset<std::string> rows;
+    for (const Row& row : r->rows) rows.insert(row.ToString());
+    run.answers.push_back(std::move(rows));
+    run.rendered += std::to_string(r->metrics.virtual_seconds) + "\n";
+    run.tasks_failed += r->metrics.tasks_failed;
+    EXPECT_NE(r->profile, nullptr) << sql;
+    if (r->profile != nullptr) {
+      run.rendered += r->profile->ToString();
+      run.rendered += r->profile->ToChromeTrace();
+    }
+  }
+  return run;
+}
+
+void ExpectSparseRunsIdentical(const SparseRun& serial, const SparseRun& pool) {
+  ASSERT_EQ(serial.answers.size(), 3u);
+  EXPECT_EQ(serial.answers, pool.answers);
+  EXPECT_EQ(serial.tasks_failed, pool.tasks_failed);
+  EXPECT_TRUE(serial.rendered == pool.rendered)
+      << "sparse-shuffle profiles diverged (lengths " << serial.rendered.size()
+      << " vs " << pool.rendered.size() << ")";
+}
+
+TEST(DeterminismTest, SparseShuffleIdenticalAcrossHostThreadCounts) {
+  SparseRun serial = RunSparseShuffleSuite(1, /*kill=*/false);
+  SparseRun pool = RunSparseShuffleSuite(4, /*kill=*/false);
+  ExpectSparseRunsIdentical(serial, pool);
+  EXPECT_EQ(serial.tasks_failed, 0);
+}
+
+TEST(DeterminismTest, SparseShuffleNodeKillIdenticalAcrossHostThreadCounts) {
+  SparseRun serial = RunSparseShuffleSuite(1, /*kill=*/true);
+  SparseRun pool = RunSparseShuffleSuite(4, /*kill=*/true);
+  ExpectSparseRunsIdentical(serial, pool);
+  // The kill must land inside a map stage, failing its running tasks and
+  // dropping the outputs already committed on that node; the answers must
+  // still be the fault-free ones.
+  EXPECT_NE(serial.rendered.find("node 1 died"), std::string::npos);
+  EXPECT_GT(serial.tasks_failed, 0);
+  EXPECT_EQ(serial.answers, RunSparseShuffleSuite(1, /*kill=*/false).answers);
 }
 
 }  // namespace

@@ -176,9 +176,9 @@ TEST(ShuffleManagerTest, LostOutputReadsAbsent) {
   int id = sm.RegisterShuffle(/*num_map_partitions=*/2, /*num_buckets=*/2);
   MapOutput out;
   out.node = 1;
-  out.buckets.resize(2);
+  out.records = std::make_shared<const std::vector<int>>(3, 0);
+  out.offsets = {0, 1, 3};
   out.bucket_bytes = {10, 20};
-  out.bucket_records = {1, 2};
   sm.PutMapOutput(id, 0, std::move(out));
   ASSERT_NE(sm.GetMapOutput(id, 0), nullptr);
   EXPECT_EQ(sm.GetMapOutput(id, 0)->node, 1);
@@ -186,14 +186,14 @@ TEST(ShuffleManagerTest, LostOutputReadsAbsent) {
 
   MapOutput other;
   other.node = 2;
-  other.buckets.resize(2);
+  other.records = std::make_shared<const std::vector<int>>(2, 0);
+  other.offsets = {0, 1, 2};
   other.bucket_bytes = {5, 5};
-  other.bucket_records = {1, 1};
   sm.PutMapOutput(id, 1, std::move(other));
   EXPECT_TRUE(sm.IsComplete(id));
 
   sm.DropNode(1);
-  // Regression: DropNode clears `present` and the buckets but leaves
+  // Regression: DropNode clears `present` and the records but leaves
   // node >= 0, and GetMapOutput used to treat only (node < 0 && !present) as
   // absent — handing reduce-side fetches a non-null pointer to the cleared
   // output, which silently read as empty instead of triggering recovery.
@@ -300,7 +300,14 @@ TEST(SchedulerTest, SpeculativeDuplicatesDontCorruptShuffleState) {
   for (int m = 0; m < sm.NumMapPartitions(shuffle_id); ++m) {
     const MapOutput* mo = sm.GetMapOutput(shuffle_id, m);
     ASSERT_NE(mo, nullptr);
-    for (uint64_t r : mo->bucket_records) stored_records += r;
+    for (int b = 0; b < mo->num_buckets(); ++b) {
+      stored_records += mo->BucketRecords(b);
+    }
+    // The one records block holds exactly the records the offsets cover.
+    ASSERT_NE(mo->records, nullptr);
+    using Records = std::vector<std::pair<int64_t, int64_t>>;
+    EXPECT_EQ(std::static_pointer_cast<const Records>(mo->records)->size(),
+              mo->num_records());
   }
   EXPECT_EQ(sm.Stats(shuffle_id).total_records, stored_records);
 
