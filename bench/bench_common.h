@@ -127,6 +127,22 @@ inline void EmitParallelJson(const std::string& bench, const std::string& label,
   std::printf("BENCH_parallel.json %s\n", w.str().c_str());
 }
 
+/// The uniform per-query record, one JSON object per engine and query:
+///   BENCH_<tag>.json {"bench":...,"label":...,"virtual_seconds":...,
+///                     "host_ms":...}
+/// `host_ms` is one run's wall-clock, so it carries the host's noise.
+inline void EmitQueryJson(const std::string& tag, const std::string& label,
+                          const TimedResult& t) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("bench").String(tag);
+  w.Key("label").String(label);
+  w.Key("virtual_seconds").FixedDouble(t.virtual_seconds, 6);
+  w.Key("host_ms").FixedDouble(t.host_ms, 3);
+  w.EndObject();
+  std::printf("BENCH_%s.json %s\n", tag.c_str(), w.str().c_str());
+}
+
 /// Machine-readable vectorized-vs-scalar line, one JSON object per query:
 ///   BENCH_vector.json {"bench":...,"label":...,"host_ms_on":...,
 ///                      "host_ms_off":...,"wall_speedup":...}

@@ -2,7 +2,9 @@
 // from the Pavlo et al. benchmark, comparing Shark (in-memory), Shark (disk)
 // and Hive on the same warehouse. Also measures the host wall-clock of the
 // cached queries with the vectorized batch path on vs off (virtual seconds
-// must not move — only how fast the host simulates them).
+// must not move — only how fast the host simulates them). The full run
+// prints one BENCH_fig05.json record per engine and query with its virtual
+// seconds and host milliseconds.
 #include <cstring>
 
 #include "bench/bench_common.h"
@@ -75,25 +77,36 @@ int main(int argc, char** argv) {
   const std::string selection = PavloSelectionQuery(9900);
   const std::string agg_fine = PavloAggregationFineQuery();
   const std::string agg_coarse = PavloAggregationCoarseQuery();
+  // Runs one query and prints its BENCH_fig05.json record as
+  // "<engine>/<query>"; returns its virtual seconds.
+  auto run = [](SharkSession* s, const std::string& label,
+                const std::string& sql) {
+    TimedResult t = TimedRunWall(s, sql);
+    EmitQueryJson("fig05", label, t);
+    return t.virtual_seconds;
+  };
 
   // Disk first (before caching), then load the memstore.
-  double sel_disk = TimedRun(session.get(), selection);
-  double fine_disk = TimedRun(session.get(), agg_fine);
-  double coarse_disk = TimedRun(session.get(), agg_coarse);
+  double sel_disk = run(session.get(), "shark_disk/selection", selection);
+  double fine_disk = run(session.get(), "shark_disk/agg_fine", agg_fine);
+  double coarse_disk = run(session.get(), "shark_disk/agg_coarse", agg_coarse);
 
   if (!session->CacheTable("rankings").ok()) return 1;
   if (!session->CacheTable("uservisits").ok()) return 1;
 
-  double sel_mem = TimedRun(session.get(), selection);
-  double fine_mem = TimedRun(session.get(), agg_fine);
+  double sel_mem = run(session.get(), "shark/selection", selection);
+  double fine_mem = run(session.get(), "shark/agg_fine", agg_fine);
+  WallTimer coarse_timer;
   QueryResult coarse_result = MustRun(session.get(), agg_coarse);
   double coarse_mem = coarse_result.metrics.virtual_seconds;
+  EmitQueryJson("fig05", "shark/agg_coarse",
+                {coarse_mem, coarse_timer.ElapsedMs()});
   WriteChromeTrace("fig05_pavlo_scan_agg", "agg_coarse_cached", coarse_result,
                    "fig05_trace.json");
 
-  double sel_hive = TimedRun(hive.get(), selection);
-  double fine_hive = TimedRun(hive.get(), agg_fine);
-  double coarse_hive = TimedRun(hive.get(), agg_coarse);
+  double sel_hive = run(hive.get(), "hive/selection", selection);
+  double fine_hive = run(hive.get(), "hive/agg_fine", agg_fine);
+  double coarse_hive = run(hive.get(), "hive/agg_coarse", agg_coarse);
 
   PrintBars("Selection (WHERE pageRank > X)",
             {{"Shark", sel_mem, ""},

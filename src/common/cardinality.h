@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <set>
+#include <vector>
 
 namespace shark {
 
@@ -106,6 +108,37 @@ struct SampleCardinality {
   double d_second = 0; // distinct keys in the second half
   double overlap = 0;  // keys present in both halves
 };
+
+/// The split-half statistics of a key sample given as its keys' 64-bit
+/// hashes in arrival order; `distinct` is the sample's exact distinct-key
+/// count. Only counts come out, so the result depends on no container's
+/// iteration order.
+inline SampleCardinality SplitHalfSample(std::vector<uint64_t> hashes,
+                                         size_t distinct) {
+  SampleCardinality s;
+  s.n = static_cast<double>(hashes.size());
+  s.d = static_cast<double>(distinct);
+  const auto mid =
+      hashes.begin() + static_cast<std::ptrdiff_t>(hashes.size() / 2);
+  std::sort(hashes.begin(), mid);
+  std::sort(mid, hashes.end());
+  const auto first_end = std::unique(hashes.begin(), mid);
+  const auto second_end = std::unique(mid, hashes.end());
+  s.d_first = static_cast<double>(first_end - hashes.begin());
+  s.d_second = static_cast<double>(second_end - mid);
+  for (auto a = hashes.begin(), b = mid; a != first_end && b != second_end;) {
+    if (*a < *b) {
+      ++a;
+    } else if (*b < *a) {
+      ++b;
+    } else {
+      s.overlap += 1.0;
+      ++a;
+      ++b;
+    }
+  }
+  return s;
+}
 
 /// DistinctGrowthFactor refined with the split-overlap test: if a fixed-K
 /// population fitted to the collision rate would predict far more overlap

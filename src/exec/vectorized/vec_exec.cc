@@ -1,11 +1,8 @@
 #include "exec/vectorized/vec_exec.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
-#include "common/cardinality.h"
 #include "common/logging.h"
 #include "exec/vectorized/column_batch.h"
 #include "exec/vectorized/kernels.h"
@@ -124,9 +121,9 @@ namespace {
 
 /// Map-side shuffle dependency of the vectorized group-by. The reduce side
 /// (ShuffledReduceRdd<Row, AggState>) is reused unchanged, so the bucket
-/// payloads, byte/record statistics and every virtual-time charge must match
-/// CombiningShuffleDep<Row, Row, AggState>'s sequence exactly; comments
-/// below mark each replicated charge, and both finish through the same
+/// contents, byte/record statistics and every virtual-time charge must match
+/// CombiningShuffleDep<Row, Row, AggState>'s exactly; comments below mark
+/// each replicated charge, and both finish through the same
 /// internal_shuffle::WriteCombined.
 class VecAggShuffleDep final : public ShuffleDependency {
  public:
@@ -195,45 +192,16 @@ class VecAggShuffleDep final : public ShuffleDependency {
     // ...and CombiningShuffleDep::PartitionBlock's combine charges.
     tctx->work().rows_processed += fed;
     tctx->work().hash_records += fed;
-    SampleCardinality sample;
-    sample.n = static_cast<double>(fed);
-    sample.d = static_cast<double>(table.size());
-    {
-      std::unordered_set<uint64_t> first_half;
-      std::unordered_set<uint64_t> second_half;
-      size_t half = row_hashes.size() / 2;
-      for (size_t i = 0; i < row_hashes.size(); ++i) {
-        (i < half ? first_half : second_half).insert(row_hashes[i]);
-      }
-      sample.d_first = static_cast<double>(first_half.size());
-      sample.d_second = static_cast<double>(second_half.size());
-      for (uint64_t k : first_half) {
-        if (second_half.count(k) > 0) sample.overlap += 1.0;
-      }
-    }
-    double growth = DistinctGrowthFactorSplit(sample, tctx->virtual_scale());
-    double byte_adjust = growth / std::max(tctx->virtual_scale(), 1.0);
-
-    // Re-home the groups in the exact container the scalar combiner uses:
-    // same hasher and same first-seen insertion sequence give the same
-    // iteration order, so bucket payloads match the scalar path pair for
-    // pair — CollectKeyStats feeds order-sensitive heavy-hitter counters,
-    // and any order drift would nudge PDE's skew decisions.
-    std::unordered_map<Row, AggState, KeyHasher<Row>> combined;
+    // Writer order is first-seen group order, as in CombiningShuffleDep, so
+    // the bucket payloads match the scalar combiner's record for record.
+    std::vector<std::pair<Row, AggState>> entries;
+    entries.reserve(table.size());
     for (size_t g = 0; g < table.size(); ++g) {
-      combined.emplace(table.group_keys()[g], std::move(states[g]));
+      entries.emplace_back(table.group_keys()[g], std::move(states[g]));
     }
-    return internal_shuffle::WriteCombined(&combined, num_buckets_,
-                                           byte_adjust, fed, tctx);
-  }
-
-  void CollectKeyStats(const BlockData& records, HeavyHitters* hh,
-                       ApproxHistogram* hist) const override {
-    const auto& in = *std::static_pointer_cast<
-        const std::vector<std::pair<Row, AggState>>>(records);
-    for (const auto& [k, c] : in) {
-      internal_shuffle::AddKeyToStats(k, hh, hist);
-    }
+    return internal_shuffle::WriteCombined(std::move(entries),
+                                           std::move(row_hashes), num_buckets_,
+                                           tctx);
   }
 
  private:

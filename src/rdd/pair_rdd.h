@@ -5,7 +5,6 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -46,14 +45,6 @@ inline void ChargeStageMaterialization(uint64_t bytes, TaskContext* tctx) {
   tctx->work().binary_deser_bytes += bytes;
 }
 
-template <typename K>
-void AddKeyToStats(const K& key, HeavyHitters* hh, ApproxHistogram* hist) {
-  hh->Add(KeyHash(key));
-  if constexpr (std::is_arithmetic_v<K>) {
-    hist->Add(static_cast<double>(key));
-  }
-}
-
 /// Lays records out as one map output: a stable counting sort by bucket, so
 /// records land bucket by bucket, each bucket in input order — the order a
 /// per-bucket split produces. `bucket_of[i]` is record i's bucket and
@@ -90,27 +81,36 @@ MapOutput GroupByBucket(int num_buckets, const std::vector<uint32_t>& bucket_of,
 }
 
 /// Writes a map-side combine table as one map output and charges the
-/// combine working set and the shuffle write. Records are split by key hash;
-/// each bucket's bytes are pre-scaled by `byte_adjust` (the distinct-growth
-/// adjustment) and the reduce side scales its per-record charges by the
-/// same factor.
+/// combine working set and the shuffle write. `entries` holds the table's
+/// (key, combiner) pairs in writer order; `input_key_hashes` holds the
+/// KeyHash of every input record's key, in input order. Records are split
+/// by key hash, each bucket in writer order; each bucket's bytes are
+/// pre-scaled by the distinct-growth adjustment and the reduce side scales
+/// its per-record charges by the same factor.
 template <typename K, typename C>
-MapOutput WriteCombined(std::unordered_map<K, C, KeyHasher<K>>* combined,
-                        int num_buckets, double byte_adjust,
-                        uint64_t input_records, TaskContext* tctx) {
-  std::vector<std::pair<const K, C>*> entries;
+MapOutput WriteCombined(std::vector<std::pair<K, C>> entries,
+                        std::vector<uint64_t> input_key_hashes,
+                        int num_buckets, TaskContext* tctx) {
+  const size_t distinct = entries.size();
+  const uint64_t input_records = input_key_hashes.size();
+  // The combiner's output is bounded by the distinct keys the task sees.
+  // Fixed key populations saturate (shuffle volume stays flat at virtual
+  // scale); growing populations (unique-id-like keys) keep scaling. The
+  // split-overlap statistics distinguish the two; pre-divide the reported
+  // bytes so the cost model's uniform scaling yields faithful volumes.
+  const double scale = tctx->virtual_scale();
+  const double byte_adjust =
+      DistinctGrowthFactorSplit(
+          SplitHalfSample(std::move(input_key_hashes), distinct), scale) /
+      std::max(scale, 1.0);
   std::vector<uint32_t> bucket_of;
-  entries.reserve(combined->size());
-  bucket_of.reserve(combined->size());
-  for (auto& e : *combined) {
-    entries.push_back(&e);
+  bucket_of.reserve(distinct);
+  for (const auto& e : entries) {
     bucket_of.push_back(static_cast<uint32_t>(
         KeyHash(e.first) % static_cast<uint64_t>(num_buckets)));
   }
   MapOutput out = GroupByBucket<std::pair<K, C>>(
-      num_buckets, bucket_of, [&](uint32_t i) {
-        return std::pair<K, C>(entries[i]->first, std::move(entries[i]->second));
-      });
+      num_buckets, bucket_of, [&](uint32_t i) { return std::move(entries[i]); });
   out.on_disk = tctx->profile().shuffle_through_disk;
   out.cost_scale = byte_adjust;
   uint64_t out_bytes = 0;
@@ -124,7 +124,7 @@ MapOutput WriteCombined(std::unordered_map<K, C, KeyHasher<K>>* combined,
   // The combine table held one (key, combiner) pair per distinct key;
   // when it exceeds the task's budget the combiner degrades to grace-hash
   // partitioning (spill I/O charged by the context).
-  tctx->ReserveOrSpillHash(raw_bytes, combined->size());
+  tctx->ReserveOrSpillHash(raw_bytes, distinct);
   tctx->ReleaseAllWorkingSet();
   ChargeMapOutputWrite(out_bytes, out.num_records(), input_records, tctx);
   return out;
@@ -139,14 +139,11 @@ template <typename T>
 class PlainShuffleDep final : public ShuffleDependency {
  public:
   using BucketFn = std::function<int(const T&)>;
-  using StatsFn = std::function<void(const T&, HeavyHitters*, ApproxHistogram*)>;
 
-  PlainShuffleDep(RddPtr<T> parent, int num_buckets, BucketFn bucket_fn,
-                  StatsFn stats_fn = nullptr)
+  PlainShuffleDep(RddPtr<T> parent, int num_buckets, BucketFn bucket_fn)
       : ShuffleDependency(parent, num_buckets),
         typed_parent_(parent),
-        bucket_fn_(std::move(bucket_fn)),
-        stats_fn_(std::move(stats_fn)) {}
+        bucket_fn_(std::move(bucket_fn)) {}
 
   MapOutput PartitionBlock(const BlockData& block,
                            TaskContext* tctx) const override {
@@ -166,19 +163,11 @@ class PlainShuffleDep final : public ShuffleDependency {
     return out;
   }
 
-  void CollectKeyStats(const BlockData& records, HeavyHitters* hh,
-                       ApproxHistogram* hist) const override {
-    if (!stats_fn_) return;
-    const auto& in = *std::static_pointer_cast<const std::vector<T>>(records);
-    for (const T& x : in) stats_fn_(x, hh, hist);
-  }
-
   const RddPtr<T>& typed_parent() const { return typed_parent_; }
 
  private:
   RddPtr<T> typed_parent_;
   BucketFn bucket_fn_;
-  StatsFn stats_fn_;
 };
 
 /// Convenience: hash-partition a key-value RDD by key.
@@ -191,9 +180,6 @@ std::shared_ptr<PlainShuffleDep<std::pair<K, V>>> MakeHashPartitionDep(
       [num_buckets](const P& p) {
         return static_cast<int>(KeyHash(p.first) %
                                 static_cast<uint64_t>(num_buckets));
-      },
-      [](const P& p, HeavyHitters* hh, ApproxHistogram* hist) {
-        internal_shuffle::AddKeyToStats(p.first, hh, hist);
       });
 }
 
@@ -219,52 +205,27 @@ class CombiningShuffleDep final : public ShuffleDependency {
         *std::static_pointer_cast<const std::vector<std::pair<K, V>>>(block);
     // Combine across the whole task first, THEN split into buckets: the map
     // task ships at most one record per distinct key regardless of how
-    // fine-grained the bucket count is.
-    std::unordered_map<K, C, KeyHasher<K>> combined;
+    // fine-grained the bucket count is. Entries stay in first-seen key order,
+    // the order the vectorized combiner writes too, so both paths produce
+    // identical bucket payloads whatever the hash table's iteration order.
+    std::vector<std::pair<K, C>> entries;
+    std::unordered_map<K, size_t, KeyHasher<K>> index;
+    std::vector<uint64_t> key_hashes;
+    key_hashes.reserve(in.size());
     for (const auto& [k, v] : in) {
-      auto it = combined.find(k);
-      if (it == combined.end()) {
-        combined.emplace(k, create_(v));
+      key_hashes.push_back(KeyHash(k));
+      auto [it, inserted] = index.try_emplace(k, entries.size());
+      if (inserted) {
+        entries.emplace_back(k, create_(v));
       } else {
-        merge_value_(it->second, v);
+        merge_value_(entries[it->second].second, v);
       }
     }
     tctx->work().rows_processed += in.size();
     tctx->work().hash_records += in.size();
-    // The combiner's output is bounded by the distinct keys the task sees.
-    // Fixed key populations saturate (shuffle volume stays flat at virtual
-    // scale); growing populations (unique-id-like keys) keep scaling. The
-    // split-overlap statistics distinguish the two; pre-divide the reported
-    // bytes so the cost model's uniform scaling yields faithful volumes.
-    SampleCardinality sample;
-    sample.n = static_cast<double>(in.size());
-    sample.d = static_cast<double>(combined.size());
-    {
-      std::unordered_set<uint64_t> first_half;
-      std::unordered_set<uint64_t> second_half;
-      size_t half = in.size() / 2;
-      for (size_t i = 0; i < in.size(); ++i) {
-        (i < half ? first_half : second_half).insert(KeyHash(in[i].first));
-      }
-      sample.d_first = static_cast<double>(first_half.size());
-      sample.d_second = static_cast<double>(second_half.size());
-      for (uint64_t k : first_half) {
-        if (second_half.count(k) > 0) sample.overlap += 1.0;
-      }
-    }
-    double growth = DistinctGrowthFactorSplit(sample, tctx->virtual_scale());
-    double byte_adjust = growth / std::max(tctx->virtual_scale(), 1.0);
-    return internal_shuffle::WriteCombined(&combined, num_buckets_,
-                                           byte_adjust, in.size(), tctx);
-  }
-
-  void CollectKeyStats(const BlockData& records, HeavyHitters* hh,
-                       ApproxHistogram* hist) const override {
-    const auto& in =
-        *std::static_pointer_cast<const std::vector<std::pair<K, C>>>(records);
-    for (const auto& [k, c] : in) {
-      internal_shuffle::AddKeyToStats(k, hh, hist);
-    }
+    return internal_shuffle::WriteCombined(std::move(entries),
+                                           std::move(key_hashes), num_buckets_,
+                                           tctx);
   }
 
  private:

@@ -95,9 +95,9 @@ struct KeyHasher {
 class RddBase;
 
 /// Type-erased map-side description of a shuffle: how to split a parent
-/// block into fine-grained reduce buckets, and how to measure/statistic the
-/// buckets. Registered with the ShuffleManager at construction; the id is
-/// what reduce tasks fetch by and what PDE consults stats for.
+/// block into fine-grained reduce buckets and size them. Registered with the
+/// ShuffleManager at construction; the id is what reduce tasks fetch by and
+/// what PDE consults stats for.
 class ShuffleDependency {
  public:
   virtual ~ShuffleDependency() = default;
@@ -114,11 +114,6 @@ class ShuffleDependency {
   /// scaling yields faithful shuffle volumes.
   virtual MapOutput PartitionBlock(const BlockData& block,
                                    TaskContext* tctx) const = 0;
-
-  /// Folds the keys of one map output's records block into the PDE
-  /// statistics sketches, in block order.
-  virtual void CollectKeyStats(const BlockData& records, HeavyHitters* hh,
-                               ApproxHistogram* hist) const = 0;
 
  protected:
   ShuffleDependency(std::shared_ptr<RddBase> parent, int num_buckets);

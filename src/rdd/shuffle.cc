@@ -20,7 +20,6 @@ int ShuffleManager::RegisterShuffle(int num_map_partitions, int num_buckets) {
   state.outputs.resize(static_cast<size_t>(num_map_partitions));
   state.stats_recorded.assign(static_cast<size_t>(num_map_partitions), 0);
   state.stats.bucket_bytes.assign(static_cast<size_t>(num_buckets), 0);
-  state.stats.bucket_records.assign(static_cast<size_t>(num_buckets), 0);
   shuffles_.emplace(id, std::move(state));
   return id;
 }
@@ -73,7 +72,6 @@ void ShuffleManager::PutMapOutput(int shuffle_id, int map_partition,
           SizeEncoding::Decode(SizeEncoding::Encode(output.bucket_bytes[bi]));
       state.stats.bucket_bytes[bi] += approx;
       state.stats.total_bytes += approx;
-      state.stats.bucket_records[bi] += records;
       state.stats.total_records += records;
     }
     state.stats_recorded[static_cast<size_t>(map_partition)] = 1;
@@ -139,17 +137,6 @@ std::vector<int> ShuffleManager::MissingMapPartitions(int shuffle_id) const {
 
 const ShuffleStats& ShuffleManager::Stats(int shuffle_id) const {
   return GetState(shuffle_id).stats;
-}
-
-bool ShuffleManager::StatsRecorded(int shuffle_id, int map_partition) const {
-  return GetState(shuffle_id).stats_recorded[static_cast<size_t>(map_partition)] !=
-         0;
-}
-
-ShuffleStats* ShuffleManager::MutableStats(int shuffle_id) {
-  auto it = shuffles_.find(shuffle_id);
-  SHARK_CHECK(it != shuffles_.end());
-  return &it->second.stats;
 }
 
 void ShuffleManager::DropNode(int node) {

@@ -6,8 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "common/heavy_hitters.h"
-#include "common/histogram.h"
 #include "sim/dfs.h"
 
 namespace shark {
@@ -17,14 +15,12 @@ class MemoryManager;
 /// Statistics the master aggregates from map tasks at a shuffle boundary —
 /// the raw material for Partial DAG Execution (§3.1). Bucket byte sizes pass
 /// through the 1-byte lossy logarithmic encoding before aggregation, exactly
-/// as the paper bounds per-task statistics reports to 1-2 KB.
+/// as the paper bounds per-task statistics reports to 1-2 KB. Key sketches
+/// (heavy hitters, histograms) are ANALYZE's business, not the shuffle's.
 struct ShuffleStats {
-  std::vector<uint64_t> bucket_bytes;    // per fine-grained reduce bucket
-  std::vector<uint64_t> bucket_records;
+  std::vector<uint64_t> bucket_bytes;  // per fine-grained reduce bucket
   uint64_t total_bytes = 0;
   uint64_t total_records = 0;
-  HeavyHitters heavy_hitters{64};
-  ApproxHistogram key_histogram{64};
 };
 
 /// Output of one map task of a shuffle, resident on the node that ran the
@@ -32,9 +28,9 @@ struct ShuffleStats {
 /// decides the fetch cost). All records sit in one block grouped by bucket:
 /// bucket 0's records, then bucket 1's, and so on, each bucket in the order
 /// its writer produced it. One pass over `records` therefore visits them in
-/// exactly the order a per-bucket split would; PDE's key statistics and the
-/// reducers' hash tables depend on that order. An empty bucket costs two
-/// equal offsets and a zero byte count, nothing more.
+/// exactly the order a per-bucket split would; the reducers' hash tables
+/// depend on that order. An empty bucket costs two equal offsets and a zero
+/// byte count, nothing more.
 struct MapOutput {
   bool present = false;
   int node = -1;
@@ -122,13 +118,6 @@ class ShuffleManager {
   std::vector<int> MissingMapPartitions(int shuffle_id) const;
 
   const ShuffleStats& Stats(int shuffle_id) const;
-
-  /// Whether map partition `p`'s statistics were already folded in (guards
-  /// sketch double-counting on recomputation).
-  bool StatsRecorded(int shuffle_id, int map_partition) const;
-
-  /// Mutable stats for the scheduler's sketch aggregation.
-  ShuffleStats* MutableStats(int shuffle_id);
 
   /// Marks outputs on a failed node as lost.
   void DropNode(int node);

@@ -1,4 +1,7 @@
 #include <cmath>
+#include <cstdint>
+#include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -70,6 +73,39 @@ TEST(DistinctGrowthTest, MonotoneInScale) {
     double f = DistinctGrowthFactor(1000, 900, scale);
     EXPECT_GE(f, prev);
     prev = f;
+  }
+}
+
+TEST(SplitHalfSampleTest, CountsDistinctHashesPerHalfAndTheirOverlap) {
+  // Halves {5, 1, 5, 9} and {9, 2, 1, 2, 7} (the odd element goes to the
+  // second half): 3 and 4 distinct, sharing 1 and 9.
+  SampleCardinality s = SplitHalfSample({5, 1, 5, 9, 9, 2, 1, 2, 7}, 6);
+  EXPECT_EQ(s.n, 9.0);
+  EXPECT_EQ(s.d, 6.0);
+  EXPECT_EQ(s.d_first, 3.0);
+  EXPECT_EQ(s.d_second, 4.0);
+  EXPECT_EQ(s.overlap, 2.0);
+
+  SampleCardinality empty = SplitHalfSample({}, 0);
+  EXPECT_EQ(empty.n, 0.0);
+  EXPECT_EQ(empty.d_first + empty.d_second + empty.overlap, 0.0);
+}
+
+TEST(SplitHalfSampleTest, MatchesSetCountsOnRandomHashes) {
+  Random rng(7);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<uint64_t> hashes(rng.Uniform(400));
+    for (uint64_t& h : hashes) h = rng.Uniform(150) * 0x9E3779B97F4A7C15ULL;
+    const size_t half = hashes.size() / 2;
+    std::set<uint64_t> first(hashes.begin(), hashes.begin() + half);
+    std::set<uint64_t> second(hashes.begin() + half, hashes.end());
+    double overlap = 0.0;
+    for (uint64_t h : first) overlap += static_cast<double>(second.count(h));
+    SampleCardinality s = SplitHalfSample(hashes, 0);
+    EXPECT_EQ(s.n, static_cast<double>(hashes.size()));
+    EXPECT_EQ(s.d_first, static_cast<double>(first.size()));
+    EXPECT_EQ(s.d_second, static_cast<double>(second.size()));
+    EXPECT_EQ(s.overlap, overlap);
   }
 }
 

@@ -354,7 +354,6 @@ TEST(ShuffleStatsTest, StatsObservedAtMapStage) {
   uint64_t true_bytes = 2000 * 16;
   EXPECT_NEAR(static_cast<double>(stats->total_bytes),
               static_cast<double>(true_bytes), 0.1 * true_bytes);
-  EXPECT_GT(stats->heavy_hitters.total_count(), 0u);
 }
 
 TEST(ShuffleStatsTest, SkewVisibleInBucketSizes) {
@@ -367,7 +366,7 @@ TEST(ShuffleStatsTest, SkewVisibleInBucketSizes) {
   auto stats = ctx.scheduler().EnsureShuffle(dep);
   ASSERT_TRUE(stats.ok());
   uint64_t max_bucket = 0, total = 0;
-  for (uint64_t b : stats->bucket_records) {
+  for (uint64_t b : stats->bucket_bytes) {
     max_bucket = std::max(max_bucket, b);
     total += b;
   }

@@ -3,13 +3,13 @@
 // bucket, filled in writer order — and so must everything derived from
 // them: the fetched record sequence for a PDE-style bucket list, the
 // effective (cost-scaled) record count, and the master's ShuffleStats
-// (log-encoded bucket bytes, heavy hitters with their error terms, the key
-// histogram). 1,600 buckets over a handful of records per map task leave
-// almost every bucket empty, the shape the layout exists for.
+// (log-encoded bucket bytes and totals). 1,600 buckets over a handful of
+// records per map task leave almost every bucket empty, the shape the layout
+// exists for; 4-bucket cases put dozens of groups in each bucket, where the
+// combiners' writer order (first-seen key order) within a bucket shows.
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -57,9 +57,8 @@ TaskContext MakeTask(ClusterContext* ctx, int partition) {
 }
 
 /// Runs a shuffle's map side the way the scheduler's map stage does —
-/// PartitionBlock in a task, then the commit's single CollectKeyStats pass
-/// over the records block and PutMapOutput — committing map p on node
-/// p % kNodes, in map order.
+/// PartitionBlock in a task, then PutMapOutput at commit — committing map p
+/// on node p % kNodes, in map order.
 void RunMaps(ClusterContext* ctx, const ShuffleDependency& dep,
              const std::vector<BlockData>& blocks) {
   ShuffleManager& sm = ctx->shuffle_manager();
@@ -67,9 +66,6 @@ void RunMaps(ClusterContext* ctx, const ShuffleDependency& dep,
     TaskContext tctx = MakeTask(ctx, static_cast<int>(p));
     MapOutput out = dep.PartitionBlock(blocks[p], &tctx);
     out.node = static_cast<int>(p) % kNodes;
-    ShuffleStats* stats = sm.MutableStats(dep.shuffle_id());
-    dep.CollectKeyStats(out.records, &stats->heavy_hitters,
-                        &stats->key_histogram);
     sm.PutMapOutput(dep.shuffle_id(), static_cast<int>(p), std::move(out));
   }
 }
@@ -82,14 +78,15 @@ struct RefOutput {
   double cost_scale = 1.0;
 };
 
-/// Splits records (in writer order) per bucket, sizing each bucket the way
-/// the writers always have: raw ApproxSizeOf bytes, scaled and truncated
-/// per bucket when `cost_scale` != 1.
+/// Splits records (in writer order) into `num_buckets` buckets, sizing each
+/// bucket the way the writers always have: raw ApproxSizeOf bytes, scaled
+/// and truncated per bucket when `cost_scale` != 1.
 template <typename T, typename BucketFn>
 RefOutput<T> SplitPerBucket(const std::vector<T>& writer_order,
-                            BucketFn bucket_of, double cost_scale) {
+                            int num_buckets, BucketFn bucket_of,
+                            double cost_scale) {
   RefOutput<T> ref;
-  ref.buckets.resize(kBuckets);
+  ref.buckets.resize(static_cast<size_t>(num_buckets));
   for (const T& x : writer_order) {
     ref.buckets[static_cast<size_t>(bucket_of(x))].push_back(x);
   }
@@ -104,35 +101,35 @@ RefOutput<T> SplitPerBucket(const std::vector<T>& writer_order,
   return ref;
 }
 
-int HashBucket(uint64_t hash) {
-  return static_cast<int>(hash % static_cast<uint64_t>(kBuckets));
+int HashBucket(uint64_t hash, int num_buckets = kBuckets) {
+  return static_cast<int>(hash % static_cast<uint64_t>(num_buckets));
 }
 
 /// Checks the committed outputs of shuffle `dep`, a fetch of `list` and the
 /// master's statistics against the per-bucket references. `same` compares
-/// one fetched record with one reference record; `add_key` feeds a
-/// reference record's key to the sketches.
-template <typename T, typename Same, typename AddKey>
+/// one fetched record with one reference record.
+template <typename T, typename Same>
 void ExpectMatchesReference(ClusterContext* ctx, const ShuffleDependency& dep,
                             const std::vector<RefOutput<T>>& refs,
-                            const std::vector<int>& list, Same same,
-                            AddKey add_key) {
+                            const std::vector<int>& list, Same same) {
   ShuffleManager& sm = ctx->shuffle_manager();
   const int sid = dep.shuffle_id();
+  const int nb = dep.num_buckets();
   ASSERT_EQ(sm.NumMapPartitions(sid), static_cast<int>(refs.size()));
 
   // Layout: one records block per output, grouped by bucket.
   for (size_t m = 0; m < refs.size(); ++m) {
     const MapOutput* mo = sm.GetMapOutput(sid, static_cast<int>(m));
     ASSERT_NE(mo, nullptr);
-    ASSERT_EQ(mo->num_buckets(), kBuckets);
-    ASSERT_EQ(mo->bucket_bytes.size(), static_cast<size_t>(kBuckets));
+    ASSERT_EQ(mo->num_buckets(), nb);
+    ASSERT_EQ(refs[m].buckets.size(), static_cast<size_t>(nb));
+    ASSERT_EQ(mo->bucket_bytes.size(), static_cast<size_t>(nb));
     ASSERT_NE(mo->records, nullptr);
     const auto& block = *std::static_pointer_cast<const std::vector<T>>(mo->records);
     EXPECT_EQ(block.size(), mo->num_records());
     EXPECT_EQ(mo->cost_scale, refs[m].cost_scale);
     uint32_t pos = 0;
-    for (int b = 0; b < kBuckets; ++b) {
+    for (int b = 0; b < nb; ++b) {
       const auto& want = refs[m].buckets[static_cast<size_t>(b)];
       ASSERT_EQ(mo->offsets[static_cast<size_t>(b)], pos);
       ASSERT_EQ(mo->BucketRecords(b), want.size()) << "map " << m << " bucket " << b;
@@ -189,54 +186,27 @@ void ExpectMatchesReference(ClusterContext* ctx, const ShuffleDependency& dep,
   }
   EXPECT_EQ(c, charges.size());
 
-  // Statistics: log-encoded sizes per bucket, sketches fed map by map,
-  // bucket by bucket, in writer order.
+  // Statistics: log-encoded sizes per bucket and the totals.
   ShuffleStats want;
-  want.bucket_bytes.assign(kBuckets, 0);
-  want.bucket_records.assign(kBuckets, 0);
+  want.bucket_bytes.assign(static_cast<size_t>(nb), 0);
   for (const RefOutput<T>& ref : refs) {
-    for (int b = 0; b < kBuckets; ++b) {
+    for (int b = 0; b < nb; ++b) {
       const auto bi = static_cast<size_t>(b);
       uint64_t approx = SizeEncoding::Decode(SizeEncoding::Encode(ref.bytes[bi]));
       want.bucket_bytes[bi] += approx;
       want.total_bytes += approx;
-      want.bucket_records[bi] += ref.buckets[bi].size();
       want.total_records += ref.buckets[bi].size();
-      for (const T& x : ref.buckets[bi]) {
-        add_key(x, &want.heavy_hitters, &want.key_histogram);
-      }
     }
   }
   const ShuffleStats& got = sm.Stats(sid);
   EXPECT_EQ(got.bucket_bytes, want.bucket_bytes);
-  EXPECT_EQ(got.bucket_records, want.bucket_records);
   EXPECT_EQ(got.total_bytes, want.total_bytes);
   EXPECT_EQ(got.total_records, want.total_records);
-  auto got_top = got.heavy_hitters.TopK(64);
-  auto want_top = want.heavy_hitters.TopK(64);
-  ASSERT_EQ(got_top.size(), want_top.size());
-  for (size_t k = 0; k < got_top.size(); ++k) {
-    EXPECT_EQ(got_top[k].key, want_top[k].key) << "rank " << k;
-    EXPECT_EQ(got_top[k].count, want_top[k].count) << "rank " << k;
-    EXPECT_EQ(got_top[k].error, want_top[k].error) << "rank " << k;
-  }
-  EXPECT_EQ(got.heavy_hitters.total_count(), want.heavy_hitters.total_count());
-  EXPECT_EQ(got.key_histogram.total_count(), want.key_histogram.total_count());
-  if (want.key_histogram.total_count() > 0) {
-    EXPECT_EQ(got.key_histogram.min(), want.key_histogram.min());
-    EXPECT_EQ(got.key_histogram.max(), want.key_histogram.max());
-    for (double q = 0.0; q <= 1.0; q += 0.125) {
-      EXPECT_EQ(got.key_histogram.EstimateQuantile(q),
-                want.key_histogram.EstimateQuantile(q))
-          << "q=" << q;
-    }
-  }
 }
 
 using KV = std::pair<int64_t, int64_t>;
 
-/// Skewed keys over more distinct values than the 64-entry heavy-hitter
-/// sketch holds, so its evictions (and error terms) depend on feed order.
+/// Skewed keys: a few hot keys among a few hundred distinct ones.
 std::vector<std::vector<KV>> SkewedMapInputs(uint64_t seed) {
   Random rng(seed);
   std::vector<std::vector<KV>> maps(kMaps);
@@ -250,10 +220,6 @@ std::vector<std::vector<KV>> SkewedMapInputs(uint64_t seed) {
   return maps;
 }
 
-void AddKvKey(const KV& kv, HeavyHitters* hh, ApproxHistogram* hist) {
-  internal_shuffle::AddKeyToStats(kv.first, hh, hist);
-}
-
 TEST(ShuffleLayoutTest, PlainShuffleDepMatchesPerBucketSplit) {
   ClusterContext ctx(LayoutConfig());
   std::vector<std::vector<KV>> inputs = SkewedMapInputs(11);
@@ -265,20 +231,25 @@ TEST(ShuffleLayoutTest, PlainShuffleDepMatchesPerBucketSplit) {
   for (const auto& in : inputs) {
     blocks.push_back(std::make_shared<const std::vector<KV>>(in));
     refs.push_back(SplitPerBucket<KV>(
-        in, [](const KV& kv) { return HashBucket(KeyHash(kv.first)); }, 1.0));
+        in, kBuckets, [](const KV& kv) { return HashBucket(KeyHash(kv.first)); },
+        1.0));
   }
   RunMaps(&ctx, *dep, blocks);
-  ExpectMatchesReference<KV>(
-      &ctx, *dep, refs, PdeBucketList(),
-      [](const KV& a, const KV& b) { return a == b; }, AddKvKey);
+  ExpectMatchesReference<KV>(&ctx, *dep, refs, PdeBucketList(),
+                             [](const KV& a, const KV& b) { return a == b; });
 }
 
-TEST(ShuffleLayoutTest, CombiningShuffleDepMatchesPerBucketSplit) {
+/// Runs a summing CombiningShuffleDep's map side into `num_buckets` buckets
+/// and checks every output against a reference that lists each map's
+/// combined keys in first-seen input order (built without any hash table,
+/// so its order depends on no container) and splits them per bucket.
+void CheckCombiningAgainstFirstSeen(const std::vector<std::vector<KV>>& inputs,
+                                    int num_buckets,
+                                    const std::vector<int>& list) {
   ClusterContext ctx(LayoutConfig());
-  std::vector<std::vector<KV>> inputs = SkewedMapInputs(12);
   auto rdd = ctx.Parallelize(std::vector<KV>{}, kMaps);
   auto dep = std::make_shared<CombiningShuffleDep<int64_t, int64_t, int64_t>>(
-      rdd, kBuckets, [](const int64_t& v) { return v; },
+      rdd, num_buckets, [](const int64_t& v) { return v; },
       [](int64_t& acc, const int64_t& v) { acc += v; });
 
   std::vector<BlockData> blocks;
@@ -289,18 +260,16 @@ TEST(ShuffleLayoutTest, CombiningShuffleDepMatchesPerBucketSplit) {
 
   std::vector<RefOutput<KV>> refs;
   for (size_t m = 0; m < inputs.size(); ++m) {
-    // The writer's order: the combine table's iteration order, which the
-    // same container fed the same insertion sequence reproduces.
-    std::unordered_map<int64_t, int64_t, KeyHasher<int64_t>> combined;
+    std::vector<KV> order;
+    std::map<int64_t, size_t> slot;
     for (const auto& [k, v] : inputs[m]) {
-      auto it = combined.find(k);
-      if (it == combined.end()) {
-        combined.emplace(k, v);
+      auto [it, inserted] = slot.emplace(k, order.size());
+      if (inserted) {
+        order.emplace_back(k, v);
       } else {
-        it->second += v;
+        order[it->second].second += v;
       }
     }
-    std::vector<KV> order(combined.begin(), combined.end());
     // The distinct-growth factor is the writer's own estimate; the layout
     // only has to apply it per bucket exactly as before.
     double scale = ctx.shuffle_manager().GetMapOutput(dep->shuffle_id(),
@@ -308,17 +277,47 @@ TEST(ShuffleLayoutTest, CombiningShuffleDepMatchesPerBucketSplit) {
                        ->cost_scale;
     EXPECT_NE(scale, 1.0);
     refs.push_back(SplitPerBucket<KV>(
-        order, [](const KV& kv) { return HashBucket(KeyHash(kv.first)); },
+        order, num_buckets,
+        [num_buckets](const KV& kv) {
+          return HashBucket(KeyHash(kv.first), num_buckets);
+        },
         scale));
   }
-  ExpectMatchesReference<KV>(
-      &ctx, *dep, refs, PdeBucketList(),
-      [](const KV& a, const KV& b) { return a == b; }, AddKvKey);
+  ExpectMatchesReference<KV>(&ctx, *dep, refs, list,
+                             [](const KV& a, const KV& b) { return a == b; });
 }
 
-TEST(ShuffleLayoutTest, VecAggShuffleDepMatchesPerBucketSplit) {
+/// ~150 distinct keys per map over a few buckets: dozens of groups per
+/// bucket, so any writer order other than first-seen shows within a bucket.
+std::vector<std::vector<KV>> SharedBucketInputs() {
+  Random rng(15);
+  std::vector<std::vector<KV>> inputs(kMaps);
+  for (auto& in : inputs) {
+    for (int i = 0; i < 300; ++i) {
+      in.emplace_back(rng.UniformInt(0, 199), rng.UniformInt(1, 9));
+    }
+  }
+  return inputs;
+}
+
+TEST(ShuffleLayoutTest, CombiningShuffleDepMatchesPerBucketSplit) {
+  CheckCombiningAgainstFirstSeen(SkewedMapInputs(12), kBuckets,
+                                 PdeBucketList());
+}
+
+TEST(ShuffleLayoutTest, CombiningShuffleDepKeepsFirstSeenOrderInSharedBuckets) {
+  CheckCombiningAgainstFirstSeen(SharedBucketInputs(), 4, {2, 3, 0});
+}
+
+/// Runs SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k through the vectorized
+/// group-by's map side into `num_buckets` buckets, one table partition per
+/// map input, and checks every output against a reference that lists each
+/// map's groups in first-seen input order (built without any hash table,
+/// so its order depends on no container) and splits them per bucket.
+void CheckVecAggAgainstFirstSeen(const std::vector<std::vector<KV>>& inputs,
+                                 int num_buckets,
+                                 const std::vector<int>& list) {
   ClusterContext ctx(LayoutConfig());
-  std::vector<std::vector<KV>> inputs = SkewedMapInputs(13);
   Schema schema({{"k", TypeKind::kInt64}, {"v", TypeKind::kInt64}});
   std::vector<TablePartitionPtr> parts;
   for (const auto& in : inputs) {
@@ -329,11 +328,10 @@ TEST(ShuffleLayoutTest, VecAggShuffleDepMatchesPerBucketSplit) {
     parts.push_back(TablePartition::FromRows(schema, rows));
   }
   vec::VecScan scan;
-  scan.base = ctx.Parallelize(parts, kMaps);
+  scan.base = ctx.Parallelize(parts, static_cast<int>(parts.size()));
   scan.schema = std::make_shared<const Schema>(schema);
   scan.needed = std::make_shared<const std::vector<int>>(std::vector<int>{0, 1});
   scan.table = "t";
-  // SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k
   ExprCompiler compiler(nullptr);
   auto compile = [&](int slot) {
     auto prog = compiler.Compile(*MakeSlot(slot, TypeKind::kInt64));
@@ -348,7 +346,7 @@ TEST(ShuffleLayoutTest, VecAggShuffleDepMatchesPerBucketSplit) {
   (*calls)[1].args = {MakeSlot(1, TypeKind::kInt64)};
   auto args = std::make_shared<std::vector<std::vector<CompiledExpr>>>(2);
   (*args)[1].push_back(compile(1));
-  auto dep = vec::MakeVecAggDep(scan, kBuckets, groups, args, calls);
+  auto dep = vec::MakeVecAggDep(scan, num_buckets, groups, args, calls);
 
   std::vector<BlockData> blocks;
   for (const TablePartitionPtr& part : parts) {
@@ -363,39 +361,44 @@ TEST(ShuffleLayoutTest, VecAggShuffleDepMatchesPerBucketSplit) {
     const MapOutput* mo =
         ctx.shuffle_manager().GetMapOutput(dep->shuffle_id(), static_cast<int>(m));
     ASSERT_NE(mo, nullptr);
-    // The writer re-homes groups into the scalar combiner's container in
-    // first-seen order; its iteration order is the writer order.
-    std::unordered_map<Row, int, KeyHasher<Row>> combined;
+    std::vector<int64_t> first_seen;
     std::map<int64_t, std::pair<int64_t, int64_t>> expect;  // count, sum
     for (const auto& [k, v] : inputs[m]) {
-      combined.emplace(Row({Value::Int64(k)}), 0);
+      if (expect.count(k) == 0) first_seen.push_back(k);
       expect[k].first += 1;
       expect[k].second += v;
     }
-    std::unordered_map<Row, const Pair*, KeyHasher<Row>> written;
+    std::map<int64_t, const Pair*> written;
     for (const Pair& p : *std::static_pointer_cast<const std::vector<Pair>>(mo->records)) {
-      written.emplace(p.first, &p);
+      written.emplace(p.first.fields[0].AsInt64(), &p);
     }
-    ASSERT_EQ(written.size(), combined.size());
+    ASSERT_EQ(written.size(), first_seen.size());
     std::vector<Pair> order;
-    for (const auto& entry : combined) {
-      const Pair& p = *written.at(entry.first);
-      const auto& [count, sum] = expect.at(entry.first.fields[0].AsInt64());
-      EXPECT_EQ(p.second.cells[0].count, count);
-      EXPECT_EQ(p.second.cells[1].acc, Value::Int64(sum));
+    for (int64_t k : first_seen) {
+      const Pair& p = *written.at(k);
+      EXPECT_EQ(p.second.cells[0].count, expect.at(k).first);
+      EXPECT_EQ(p.second.cells[1].acc, Value::Int64(expect.at(k).second));
       order.push_back(p);
     }
     EXPECT_NE(mo->cost_scale, 1.0);
     refs.push_back(SplitPerBucket<Pair>(
-        order, [](const Pair& p) { return HashBucket(KeyHash(p.first)); },
+        order, num_buckets,
+        [num_buckets](const Pair& p) {
+          return HashBucket(KeyHash(p.first), num_buckets);
+        },
         mo->cost_scale));
   }
   ExpectMatchesReference<Pair>(
-      &ctx, *dep, refs, PdeBucketList(),
-      [](const Pair& a, const Pair& b) { return a.first == b.first; },
-      [](const Pair& p, HeavyHitters* hh, ApproxHistogram* hist) {
-        internal_shuffle::AddKeyToStats(p.first, hh, hist);
-      });
+      &ctx, *dep, refs, list,
+      [](const Pair& a, const Pair& b) { return a.first == b.first; });
+}
+
+TEST(ShuffleLayoutTest, VecAggShuffleDepMatchesPerBucketSplit) {
+  CheckVecAggAgainstFirstSeen(SkewedMapInputs(13), kBuckets, PdeBucketList());
+}
+
+TEST(ShuffleLayoutTest, VecAggShuffleDepKeepsFirstSeenOrderInSharedBuckets) {
+  CheckVecAggAgainstFirstSeen(SharedBucketInputs(), 4, {2, 3, 0});
 }
 
 TEST(ShuffleLayoutTest, EmptyInputBlockWritesOneEmptyRecordsBlock) {
@@ -427,8 +430,6 @@ TEST(ShuffleLayoutTest, EmptyInputBlockWritesOneEmptyRecordsBlock) {
     const ShuffleStats& stats = ctx.shuffle_manager().Stats(dep->shuffle_id());
     EXPECT_EQ(stats.total_records, 0u);
     EXPECT_EQ(stats.total_bytes, 0u);
-    EXPECT_EQ(stats.heavy_hitters.total_count(), 0u);
-    EXPECT_EQ(stats.key_histogram.total_count(), 0u);
   }
 }
 

@@ -419,6 +419,7 @@ class VecSqlTest : public ::testing::Test {
     ClusterConfig cfg;
     cfg.num_nodes = 4;
     cfg.hardware.cores_per_node = 2;
+    cfg.virtual_data_scale = virtual_scale_;
     auto session = std::make_unique<SharkSession>(
         std::make_shared<ClusterContext>(cfg));
     Schema schema({{"x", TypeKind::kInt64},
@@ -486,6 +487,7 @@ class VecSqlTest : public ::testing::Test {
   }
 
   bool cache_ = true;
+  double virtual_scale_ = 1.0;
 };
 
 TEST_F(VecSqlTest, ScanFilterMatchesScalar) {
@@ -536,6 +538,30 @@ TEST_F(VecSqlTest, ExpressionGroupKeyMatchesScalar) {
   const std::string q =
       "SELECT SUBSTR(name, 1, 2), SUM(y) FROM t GROUP BY SUBSTR(name, 1, 2)";
   ExpectIdentical(RunBoth(q), q, true);
+}
+
+TEST_F(VecSqlTest, AggregateOverGroupBySubqueryMatchesScalar) {
+  // An aggregate over a GROUP BY subquery reads the inner reduce output in
+  // order: it is the outer combiner's input order (its split-half growth
+  // sample at a virtual scale above 1) and the summation order of a
+  // floating-point SUM. The fixture's 16 fine buckets (2 x 8 cores) put
+  // dozens of inner groups in each bucket, so the vectorized and the scalar
+  // combiner must write each bucket's groups in the same order.
+  virtual_scale_ = 1000.0;
+  const std::string q =
+      "SELECT COUNT(*), SUM(a) FROM "
+      "(SELECT x, AVG(y) a FROM t WHERE y > 0 AND y < 100 GROUP BY x) u";
+  RunPair p = RunBoth(q);
+  ExpectIdentical(p, q, true);
+  ASSERT_EQ(p.on.rows.size(), 1u);
+  ASSERT_EQ(p.off.rows.size(), 1u);
+  // Row::ToString rounds doubles to 4 places; compare the sum bit for bit.
+  EXPECT_EQ(p.on.rows[0].fields[1].double_v(),
+            p.off.rows[0].fields[1].double_v());
+  const std::string q2 =
+      "SELECT x % 30, COUNT(*), SUM(c) FROM "
+      "(SELECT x, COUNT(*) c FROM t GROUP BY x) s GROUP BY x % 30";
+  ExpectIdentical(RunBoth(q2), q2, true);
 }
 
 TEST_F(VecSqlTest, UncachedTableFallsBackToScalar) {
