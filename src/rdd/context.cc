@@ -15,25 +15,21 @@ namespace shark {
 // ---------------------------------------------------------------------------
 
 RddBase::RddBase(ClusterContext* ctx, std::string label)
-    : ctx_(ctx), id_(ctx->NextRddId()), label_(std::move(label)) {}
+    : ctx_(ctx),
+      live_ctx_(ctx->lifetime()),
+      id_(ctx->NextRddId()),
+      label_(std::move(label)) {}
 
-RddBase::~RddBase() = default;
-
-void RddBase::Cache() {
-  cached_ = true;
-  // Per-job debris ledger: a failing query drops the cache entries it
-  // created so concurrent sessions never inherit its leftovers.
-  if (JobState* job = CurrentJobState()) {
-    job->owned_cache_rdd_ids.push_back(id_);
+RddBase::~RddBase() {
+  if (!cached_) return;
+  if (std::shared_ptr<ClusterContext> ctx = live_ctx_.lock()) {
+    ctx->scheduler().ReleaseCachedRdd(id_);
   }
 }
 
 void RddBase::Uncache() {
   cached_ = false;
-  // The block cache is shared engine state; other jobs may have epochs in
-  // flight that read it.
-  ctx_->scheduler().QuiesceForSharedStateMutation();
-  ctx_->block_manager().DropRdd(id_);
+  ctx_->scheduler().ReleaseCachedRdd(id_);
 }
 
 BlockManager* RddBase::block_manager_ptr() const {
@@ -80,17 +76,22 @@ std::vector<int> RddBase::ComputePreferredNodes(int p) const {
 }
 
 // ---------------------------------------------------------------------------
-// ShuffleDependency registration
+// ShuffleDependency registration and release
 // ---------------------------------------------------------------------------
 
 ShuffleDependency::ShuffleDependency(std::shared_ptr<RddBase> parent,
                                      int num_buckets)
-    : parent_(std::move(parent)), num_buckets_(num_buckets) {
+    : parent_(std::move(parent)),
+      num_buckets_(num_buckets),
+      live_ctx_(parent_->context()->lifetime()) {
   SHARK_CHECK(num_buckets > 0);
   shuffle_id_ = parent_->context()->shuffle_manager().RegisterShuffle(
       parent_->num_partitions(), num_buckets);
-  if (JobState* job = CurrentJobState()) {
-    job->owned_shuffle_ids.push_back(shuffle_id_);
+}
+
+ShuffleDependency::~ShuffleDependency() {
+  if (std::shared_ptr<ClusterContext> ctx = live_ctx_.lock()) {
+    ctx->scheduler().ReleaseShuffle(shuffle_id_);
   }
 }
 
@@ -139,6 +140,8 @@ ClusterContext::ClusterContext(ClusterConfig config,
       [mm = memory_manager_.get()](int node) {
         return mm->shuffle_bytes(node);
       });
+  metrics_->set_live_shuffles_fn(
+      [sm = shuffle_manager_.get()] { return sm->num_shuffles(); });
   block_manager_->set_eviction_hook(
       [m = metrics_.get()](uint64_t blocks, uint64_t bytes) {
         m->OnCacheEviction(blocks, bytes);
@@ -151,7 +154,10 @@ ClusterContext::ClusterContext(ClusterConfig config,
                    << config_.host_threads;
 }
 
-ClusterContext::~ClusterContext() = default;
+ClusterContext::~ClusterContext() {
+  // From here on, lineage objects that outlive the context release nothing.
+  lifetime_.reset();
+}
 
 void ClusterContext::ResetClock() {
   cluster_->Reset();

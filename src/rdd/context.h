@@ -134,6 +134,13 @@ class ClusterContext {
 
   int NextRddId() { return next_rdd_id_++; }
 
+  /// Weak handle that RDDs and shuffle dependencies keep to this context.
+  /// Their destructors release the shuffle outputs and cached blocks they
+  /// own through it (DagScheduler::ReleaseShuffle / ReleaseCachedRdd); it
+  /// expires when the context is destroyed, so a TableRdd that outlives its
+  /// session releases nothing.
+  std::weak_ptr<ClusterContext> lifetime() const { return lifetime_; }
+
   // -- RDD creation --------------------------------------------------------
 
   template <typename T>
@@ -247,6 +254,8 @@ class ClusterContext {
   TraceCollector trace_collector_;
   double now_ = 0.0;
   int next_rdd_id_ = 0;
+  // Shares no ownership of *this (no-op deleter), only its lifetime.
+  std::shared_ptr<ClusterContext> lifetime_{this, [](ClusterContext*) {}};
 };
 
 /// Typed access to a broadcast value inside a task.

@@ -79,6 +79,10 @@ void JobManager::JobThreadMain(JobRun* run) {
   }
   SetCurrentJobState(&run->state);
   Status status = run->spec.body ? run->spec.body() : Status::OK();
+  // Lineage the body captured dies here, on the job's own thread, so its
+  // shuffles and cached blocks are released at a point fixed by the job's
+  // progress rather than wherever the spec is destroyed.
+  run->spec.body = nullptr;
   // Reading the clock without the lock is safe: the driver is blocked until
   // this thread parks or finishes, and the handoff synchronizes through mu_.
   const double finish = ctx_->now();

@@ -97,10 +97,11 @@ class RddBase;
 /// Type-erased map-side description of a shuffle: how to split a parent
 /// block into fine-grained reduce buckets and size them. Registered with the
 /// ShuffleManager at construction; the id is what reduce tasks fetch by and
-/// what PDE consults stats for.
+/// what PDE consults stats for. The map outputs live exactly as long as this
+/// object: the destructor releases them (DagScheduler::ReleaseShuffle).
 class ShuffleDependency {
  public:
-  virtual ~ShuffleDependency() = default;
+  virtual ~ShuffleDependency();
 
   int shuffle_id() const { return shuffle_id_; }
   int num_buckets() const { return num_buckets_; }
@@ -121,6 +122,8 @@ class ShuffleDependency {
   std::shared_ptr<RddBase> parent_;
   int num_buckets_;
   int shuffle_id_ = -1;
+  // Expires with the context: a dependency that outlives it releases nothing.
+  std::weak_ptr<ClusterContext> live_ctx_;
 };
 
 /// An edge in the lineage graph: either narrow (parent partition feeds one
@@ -141,6 +144,7 @@ struct Dependency {
 class RddBase : public std::enable_shared_from_this<RddBase> {
  public:
   RddBase(ClusterContext* ctx, std::string label);
+  /// Drops this RDD's cached blocks if it is still cached.
   virtual ~RddBase();
 
   RddBase(const RddBase&) = delete;
@@ -168,9 +172,9 @@ class RddBase : public std::enable_shared_from_this<RddBase> {
   BlockData GetOrComputeErased(int p, TaskContext* tctx) const;
 
   /// Marks this RDD for in-memory caching (Spark's persist(MEMORY_ONLY)).
-  /// Recorded in the owning job's debris ledger (when one is current) so a
-  /// failing query can drop the cache entries it created.
-  void Cache();
+  /// The blocks stay until Uncache() or until the last reference to this
+  /// RDD goes away.
+  void Cache() { cached_ = true; }
 
   /// Disables the generic byte charge on cached reads; used when consumers
   /// charge their own (finer-grained) read costs, e.g. the columnar
@@ -203,6 +207,8 @@ class RddBase : public std::enable_shared_from_this<RddBase> {
 
  private:
   ClusterContext* ctx_;
+  // Expires with the context: an RDD that outlives it releases nothing.
+  std::weak_ptr<ClusterContext> live_ctx_;
   int id_;
   std::string label_;
   bool cached_ = false;

@@ -402,6 +402,17 @@ void DagScheduler::QuiesceForSharedStateMutation() {
   BumpEpoch();
 }
 
+void DagScheduler::ReleaseShuffle(int shuffle_id) {
+  QuiesceForSharedStateMutation();
+  ctx_->shuffle_manager().DropShuffle(shuffle_id);
+  shuffle_registry_.erase(shuffle_id);
+}
+
+void DagScheduler::ReleaseCachedRdd(int rdd_id) {
+  QuiesceForSharedStateMutation();
+  ctx_->block_manager().DropRdd(rdd_id);
+}
+
 void DagScheduler::ComputeSlot(TaskSetState* set, int task, long at_epoch) {
   TaskSetState::TaskSlot& slot = set->slots[static_cast<size_t>(task)];
   slot.error = nullptr;

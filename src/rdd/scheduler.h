@@ -58,13 +58,6 @@ struct JobState {
   /// job's stages land in its own profile instead of whichever query opened
   /// a profile first.
   TraceCollector* trace = nullptr;
-  /// Debris ledger: shuffles registered and RDDs cached while this job was
-  /// current. A failing query drops exactly its own entries (watermark-based
-  /// cleanup would be wrong under concurrent admission, where id ranges
-  /// interleave across jobs). Successful queries keep seed semantics —
-  /// results stay resident — and merely truncate the ledger.
-  std::vector<int> owned_shuffle_ids;
-  std::vector<int> owned_cache_rdd_ids;
 };
 
 /// The job the calling thread is executing on behalf of (set by the
@@ -144,14 +137,23 @@ class DagScheduler {
   /// True while any task set is registered with the event loop.
   bool HasActiveSets() const { return !active_sets_.empty(); }
 
-  /// Quiesces host-parallel task-body precomputation and applies pending
-  /// committed cache effects. MUST be called before mutating shared engine
-  /// state (block cache, shuffle ledger) from outside the event loop — e.g.
-  /// RddBase::Uncache or ShuffleDependency teardown while other jobs are in
-  /// flight. Cheap no-op when nothing is active.
-  void QuiesceForSharedStateMutation();
+  /// Drops a dead ShuffleDependency's map outputs (and their ledger
+  /// charges) and its registry entry, or an uncached or dead RDD's blocks.
+  /// Called driver-side by whoever drops the last reference — the query's
+  /// own thread, never the event loop or a task body — so the release lands
+  /// at a point fixed by the query's progress (DESIGN §14).
+  void ReleaseShuffle(int shuffle_id);
+  void ReleaseCachedRdd(int rdd_id);
+
+  /// Shuffles in the lineage-recovery registry.
+  size_t num_registered_shuffles() const { return shuffle_registry_.size(); }
 
  private:
+  /// Quiesces host-parallel precomputation and applies pending committed
+  /// cache effects: other jobs' frozen epochs may read the shuffle ledger
+  /// and the cache a release mutates. Cheap no-op when nothing is active.
+  void QuiesceForSharedStateMutation();
+
   friend struct TaskSetState;
 
   /// A task body's result. Bodies are pure functions of (partition, shared
@@ -265,6 +267,7 @@ class DagScheduler {
 
   ClusterContext* ctx_;
   JobMetrics last_job_;
+  // Shuffles by id, for lineage recovery; an entry goes with its shuffle.
   std::map<int, std::weak_ptr<ShuffleDependency>> shuffle_registry_;
   // (node, heartbeat tick) -> tasks already started in that tick.
   std::map<std::pair<int, long>, int> heartbeat_slots_;

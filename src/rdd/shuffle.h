@@ -125,6 +125,9 @@ class ShuffleManager {
   void DropShuffle(int shuffle_id);
   void Clear();
 
+  /// Shuffles registered and not yet dropped.
+  size_t num_shuffles() const { return shuffles_.size(); }
+
  private:
   struct ShuffleState {
     int num_buckets = 0;

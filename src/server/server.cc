@@ -47,7 +47,12 @@ SharkServer::SharkServer(std::shared_ptr<SharkSession> session,
         qo.slow_virtual_seconds = options.slow_query_virtual_seconds;
         qo.jsonl_path = options.query_log_path;
         return qo;
-      }()) {}
+      }()) {
+  session_->context().metrics().registry().RegisterCallbackGauge(
+      "shark_server_connection_threads",
+      "Connection threads not yet joined (open or awaiting reaping)",
+      [count = conn_thread_count_] { return static_cast<double>(*count); });
+}
 
 SharkServer::~SharkServer() { Stop(); }
 
@@ -104,14 +109,14 @@ void SharkServer::Stop() {
     std::lock_guard<std::mutex> lock(mu_);
     for (int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  std::vector<std::thread> threads;
+  std::map<uint64_t, std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(mu_);
     threads.swap(conn_threads_);
+    finished_conns_.clear();
+    *conn_thread_count_ = 0;
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& [conn_id, t] : threads) t.join();
   if (jobs_.started()) jobs_.Stop();
 }
 
@@ -122,6 +127,7 @@ void SharkServer::AcceptLoop() {
       if (errno == EINTR) continue;
       break;  // listener closed by Stop()
     }
+    ReapFinishedConnections();
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) {
       ::close(fd);
@@ -129,9 +135,29 @@ void SharkServer::AcceptLoop() {
     }
     uint64_t conn_id = next_conn_id_++;
     live_fds_.insert(fd);
-    conn_threads_.emplace_back(
-        [this, fd, conn_id] { ServeConnection(fd, conn_id); });
+    // Emplaced under mu_, so the thread's exit bookkeeping (which takes
+    // mu_) always finds its entry.
+    conn_threads_.emplace(conn_id, std::thread([this, fd, conn_id] {
+                            ServeConnection(fd, conn_id);
+                          }));
+    *conn_thread_count_ = conn_threads_.size();
   }
+}
+
+void SharkServer::ReapFinishedConnections() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (uint64_t conn_id : finished_conns_) {
+      auto it = conn_threads_.find(conn_id);
+      done.push_back(std::move(it->second));
+      conn_threads_.erase(it);
+    }
+    finished_conns_.clear();
+    *conn_thread_count_ = conn_threads_.size();
+  }
+  // Each has passed its last use of mu_; the joins return promptly.
+  for (std::thread& t : done) t.join();
 }
 
 void SharkServer::ServeConnection(int fd, uint64_t conn_id) {
@@ -199,6 +225,7 @@ void SharkServer::ServeConnection(int fd, uint64_t conn_id) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   live_fds_.erase(fd);
+  finished_conns_.push_back(conn_id);
 }
 
 bool SharkServer::HandleQuery(int fd, uint64_t conn_id,

@@ -101,6 +101,8 @@ class SharkServer {
   };
 
   void AcceptLoop();
+  /// Joins the threads of connections that have closed since the last call.
+  void ReapFinishedConnections();
   void ServeConnection(int fd, uint64_t conn_id);
   bool HandleQuery(int fd, uint64_t conn_id, const std::string& client_qid,
                    const std::string& sql);
@@ -120,9 +122,14 @@ class SharkServer {
   std::thread accept_thread_;
 
   std::mutex mu_;
-  std::vector<std::thread> conn_threads_;  // guarded by mu_
-  std::set<int> live_fds_;                 // guarded by mu_
-  uint64_t next_conn_id_ = 1;              // guarded by mu_
+  std::map<uint64_t, std::thread> conn_threads_;  // conn_id ->, guarded by mu_
+  std::vector<uint64_t> finished_conns_;          // not yet joined, guarded
+  std::set<int> live_fds_;                        // guarded by mu_
+  uint64_t next_conn_id_ = 1;                     // guarded by mu_
+  // conn_threads_.size(), read by the shark_server_connection_threads gauge;
+  // shared so the gauge stays valid if the context outlives the server.
+  std::shared_ptr<std::atomic<size_t>> conn_thread_count_ =
+      std::make_shared<std::atomic<size_t>>(0);
 
   std::mutex sessions_mu_;
   std::map<uint64_t, SessionState> sessions_;  // conn_id ->, guarded

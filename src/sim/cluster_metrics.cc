@@ -254,6 +254,12 @@ void ClusterMetrics::set_shuffle_bytes_fn(std::function<uint64_t()> fn) {
       [fn = shuffle_bytes_fn_] { return static_cast<double>(fn()); });
 }
 
+void ClusterMetrics::set_live_shuffles_fn(std::function<uint64_t()> fn) {
+  registry_.RegisterCallbackGauge(
+      "shark_shuffles_live", "Registered shuffles not yet released",
+      [fn = std::move(fn)] { return static_cast<double>(fn()); });
+}
+
 void ClusterMetrics::set_shuffle_bytes_on_node_fn(
     std::function<uint64_t(int)> fn) {
   shuffle_bytes_on_node_fn_ = std::move(fn);

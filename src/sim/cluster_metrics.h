@@ -147,6 +147,8 @@ class ClusterMetrics {
   /// Total / per-node memory-served shuffle map-output bytes.
   void set_shuffle_bytes_fn(std::function<uint64_t()> fn);
   void set_shuffle_bytes_on_node_fn(std::function<uint64_t(int)> fn);
+  /// Registered shuffles whose ShuffleDependency is still alive.
+  void set_live_shuffles_fn(std::function<uint64_t()> fn);
 
   // ---- Scheduler hooks (driver thread, event-loop order) ------------------
 

@@ -14,68 +14,6 @@
 
 namespace shark {
 
-namespace {
-
-/// Brackets one query's engine-state debris. Shuffle registrations and cache
-/// insertions are recorded in the current job's ledger (installing a local
-/// JobState for plain, non-JobManager callers); a failing query drops
-/// exactly what it created — shuffle ledger entries and cached blocks — so
-/// the next query, possibly another session's, sees a clean cluster. A
-/// successful query keeps its state resident (seed semantics) and merely
-/// forgets the ledger entries.
-class QueryDebrisScope {
- public:
-  explicit QueryDebrisScope(ClusterContext* ctx) : ctx_(ctx) {
-    if (CurrentJobState() == nullptr) {
-      local_.label = "sql";
-      SetCurrentJobState(&local_);
-      installed_ = true;
-    }
-    job_ = CurrentJobState();
-    shuffle_mark_ = job_->owned_shuffle_ids.size();
-    cache_mark_ = job_->owned_cache_rdd_ids.size();
-  }
-
-  ~QueryDebrisScope() {
-    if (installed_) SetCurrentJobState(nullptr);
-  }
-
-  QueryDebrisScope(const QueryDebrisScope&) = delete;
-  QueryDebrisScope& operator=(const QueryDebrisScope&) = delete;
-
-  /// Failure path: releases everything recorded past the entry marks.
-  void DropDebris() {
-    if (job_->owned_shuffle_ids.size() > shuffle_mark_ ||
-        job_->owned_cache_rdd_ids.size() > cache_mark_) {
-      // Other jobs' frozen epochs may be reading the ledger and the cache.
-      ctx_->scheduler().QuiesceForSharedStateMutation();
-      for (size_t i = shuffle_mark_; i < job_->owned_shuffle_ids.size(); ++i) {
-        ctx_->shuffle_manager().DropShuffle(job_->owned_shuffle_ids[i]);
-      }
-      for (size_t i = cache_mark_; i < job_->owned_cache_rdd_ids.size(); ++i) {
-        ctx_->block_manager().DropRdd(job_->owned_cache_rdd_ids[i]);
-      }
-    }
-    Forget();
-  }
-
-  /// Success path: results stay resident, ledger entries are dropped.
-  void Forget() {
-    job_->owned_shuffle_ids.resize(shuffle_mark_);
-    job_->owned_cache_rdd_ids.resize(cache_mark_);
-  }
-
- private:
-  ClusterContext* ctx_;
-  JobState* job_ = nullptr;
-  JobState local_;
-  bool installed_ = false;
-  size_t shuffle_mark_ = 0;
-  size_t cache_mark_ = 0;
-};
-
-}  // namespace
-
 SharkSession::SharkSession(std::shared_ptr<ClusterContext> ctx)
     : ctx_(std::move(ctx)) {}
 
@@ -87,14 +25,7 @@ Result<QueryResult> SharkSession::Sql(const std::string& query,
                                       std::string* analyzed_plan) {
   if (analyzed_plan != nullptr) analyzed_plan->clear();
   SHARK_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(query));
-  QueryDebrisScope debris(ctx_.get());
-  Result<QueryResult> result = ExecuteStatement(stmt, analyzed_plan);
-  if (result.ok()) {
-    debris.Forget();
-  } else {
-    debris.DropDebris();
-  }
-  return result;
+  return ExecuteStatement(stmt, analyzed_plan);
 }
 
 Result<QueryResult> SharkSession::ExecuteStatement(const Statement& stmt,
@@ -248,22 +179,15 @@ Result<TableRdd> SharkSession::Sql2Rdd(const std::string& query) {
   if (stmt.kind != StatementKind::kSelect) {
     return Status::InvalidArgument("sql2rdd expects a SELECT");
   }
-  QueryDebrisScope debris(ctx_.get());
   Analyzer analyzer(&catalog_, &udfs_);
-  Result<PlanPtr> plan = analyzer.AnalyzeSelect(*stmt.select);
-  if (!plan.ok()) return plan.status();
-  PlanPtr optimized = PlanSelect(*plan);
+  SHARK_ASSIGN_OR_RETURN(PlanPtr plan, analyzer.AnalyzeSelect(*stmt.select));
+  PlanPtr optimized = PlanSelect(plan);
   Executor executor(ctx_.get(), &catalog_, &udfs_, options_);
-  Result<RddPtr<Row>> rdd = executor.BuildRdd(optimized);
-  if (!rdd.ok()) {
-    debris.DropDebris();
-    return rdd.status();
-  }
-  // The distributed result stays live; its shuffles/cache now belong to the
-  // caller's RDD graph.
-  debris.Forget();
+  // The distributed result stays live: its shuffles and cached blocks are
+  // released when the caller drops the last reference to the TableRdd.
+  SHARK_ASSIGN_OR_RETURN(RddPtr<Row> rdd, executor.BuildRdd(optimized));
   TableRdd out;
-  out.rdd = *rdd;
+  out.rdd = std::move(rdd);
   out.schema = Schema(optimized->output);
   out.build_metrics = executor.metrics();
   return out;
@@ -394,19 +318,6 @@ Status SharkSession::LoadRowsIntoMemstore(TableInfo* info, RddPtr<Row> rows,
 Status SharkSession::CacheTable(const std::string& name,
                                 const std::string& distribute_column,
                                 const std::string& copartition_with) {
-  QueryDebrisScope debris(ctx_.get());
-  Status status = CacheTableImpl(name, distribute_column, copartition_with);
-  if (status.ok()) {
-    debris.Forget();
-  } else {
-    debris.DropDebris();
-  }
-  return status;
-}
-
-Status SharkSession::CacheTableImpl(const std::string& name,
-                                    const std::string& distribute_column,
-                                    const std::string& copartition_with) {
   SHARK_ASSIGN_OR_RETURN(TableInfo * info, catalog_.Get(name));
   if (info->is_cached()) return Status::OK();
   if (info->dfs_file.empty()) {

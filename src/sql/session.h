@@ -83,9 +83,6 @@ class SharkSession {
   /// Runs the full two-phase planner (rules + cost-based join reordering)
   /// under this session's options and cluster cost environment.
   PlanPtr PlanSelect(PlanPtr plan);
-  Status CacheTableImpl(const std::string& name,
-                        const std::string& distribute_column,
-                        const std::string& copartition_with);
   Result<QueryResult> ExecuteSelect(const SelectStmt& stmt,
                                     std::string* analyzed_plan);
   Result<QueryResult> ExecuteCreateTable(const CreateTableStmt& stmt);

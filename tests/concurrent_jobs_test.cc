@@ -5,12 +5,14 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "mem/memory_manager.h"
 #include "rdd/context.h"
 #include "rdd/job_manager.h"
 #include "rdd/pair_rdd.h"
@@ -418,6 +420,251 @@ TEST_F(FailingQueryCleanupTest, FailedCtasDropsPhantomTableAndCache) {
   auto count = session_->Sql("SELECT COUNT(*) FROM fixed");
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count->rows[0].fields[0].int64_v(), 200);
+}
+
+// ---------------------------------------------------------------------------
+// Reference-based release (success path): a shuffle's map outputs live as
+// long as its ShuffleDependency, a cached RDD's blocks as long as its RDD.
+// ---------------------------------------------------------------------------
+
+/// Value of an unlabelled gauge in the Prometheus exposition.
+double GaugeValue(const ClusterContext& ctx, const std::string& name) {
+  std::istringstream text(ctx.metrics().registry().TextExposition());
+  std::string line;
+  while (std::getline(text, line)) {
+    if (line.rfind(name + " ", 0) == 0) {
+      return std::stod(line.substr(name.size() + 1));
+    }
+  }
+  ADD_FAILURE() << "gauge not exposed: " << name;
+  return -1.0;
+}
+
+/// Everything a finished query could leave pinned on the cluster.
+struct Footprint {
+  std::vector<uint64_t> used_bytes_per_node;  // cache + shuffle ledger
+  double shuffle_resident_bytes = 0.0;        // gauge
+  double shuffles_live = 0.0;                 // gauge
+  size_t registered_shuffles = 0;             // scheduler registry
+  uint64_t admitted_bytes = 0;
+
+  bool operator==(const Footprint&) const = default;
+};
+
+Footprint TakeFootprint(ClusterContext& ctx) {
+  Footprint f;
+  MemoryManager& mm = ctx.memory_manager();
+  for (int n = 0; n < mm.num_nodes(); ++n) {
+    f.used_bytes_per_node.push_back(mm.UsedBytes(n));
+  }
+  f.shuffle_resident_bytes = GaugeValue(ctx, "shark_shuffle_resident_bytes");
+  f.shuffles_live = GaugeValue(ctx, "shark_shuffles_live");
+  f.registered_shuffles = ctx.scheduler().num_registered_shuffles();
+  f.admitted_bytes = mm.admitted_bytes();
+  return f;
+}
+
+std::ostream& operator<<(std::ostream& os, const Footprint& f) {
+  uint64_t used = 0;
+  for (uint64_t b : f.used_bytes_per_node) used += b;
+  return os << "{used=" << used << " resident=" << f.shuffle_resident_bytes
+            << " live=" << f.shuffles_live
+            << " registered=" << f.registered_shuffles
+            << " admitted=" << f.admitted_bytes << "}";
+}
+
+class QueryReleaseTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    session_ = std::make_unique<SharkSession>(
+        std::make_shared<ClusterContext>(SmallConfig()));
+    std::vector<Row> t_rows;
+    std::vector<Row> u_rows;
+    for (int i = 0; i < 200; ++i) {
+      t_rows.push_back(Row({Value::Int64(i % 16), Value::Int64(i)}));
+      u_rows.push_back(Row({Value::Int64(i % 32), Value::Int64(2 * i)}));
+    }
+    ASSERT_TRUE(session_
+                    ->CreateDfsTable(
+                        "t",
+                        Schema({{"k", TypeKind::kInt64},
+                                {"v", TypeKind::kInt64}}),
+                        t_rows, 8)
+                    .ok());
+    ASSERT_TRUE(session_
+                    ->CreateDfsTable(
+                        "u",
+                        Schema({{"k", TypeKind::kInt64},
+                                {"w", TypeKind::kInt64}}),
+                        u_rows, 8)
+                    .ok());
+  }
+
+  ClusterContext& ctx() { return session_->context(); }
+
+  std::unique_ptr<SharkSession> session_;
+};
+
+constexpr const char* kGroupBy = "SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k";
+constexpr const char* kJoin =
+    "SELECT t.k, t.v, u.w FROM t JOIN u ON t.k = u.k WHERE t.v < 50";
+// 50 rows of t, each matching the 7 (k < 8) or 6 (k >= 8) rows of u.
+constexpr size_t kJoinRows = 326;
+
+TEST_F(QueryReleaseTest, SuccessfulGroupByReleasesItsShuffles) {
+  const Footprint before = TakeFootprint(ctx());
+  auto r = session_->Sql(kGroupBy);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows.size(), 16u);
+  EXPECT_GT(r->metrics.stages, 1);  // it shuffled
+  EXPECT_EQ(TakeFootprint(ctx()), before);
+}
+
+TEST_F(QueryReleaseTest, SuccessfulJoinReleasesItsShuffles) {
+  const Footprint before = TakeFootprint(ctx());
+  auto r = session_->Sql(kJoin);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->rows.size(), kJoinRows);
+  EXPECT_GT(r->metrics.stages, 1);
+  EXPECT_EQ(TakeFootprint(ctx()), before);
+}
+
+// A sql2rdd result owns its lineage: its shuffles stay resident (and
+// recoverable after a node loss) for as long as the caller holds it.
+TEST_F(QueryReleaseTest, Sql2RddKeepsShufflesUntilDropped) {
+  const Footprint before = TakeFootprint(ctx());
+  auto table = session_->Sql2Rdd(kGroupBy);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  auto first = ctx().Collect(table->rdd);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->size(), 16u);
+
+  const Footprint held = TakeFootprint(ctx());
+  EXPECT_GT(held.shuffles_live, before.shuffles_live);
+  EXPECT_GT(held.shuffle_resident_bytes, 0.0);
+  EXPECT_GT(held.registered_shuffles, before.registered_shuffles);
+  // Queries in between do not disturb the held shuffles.
+  ASSERT_TRUE(session_->Sql(kJoin).ok());
+  EXPECT_EQ(TakeFootprint(ctx()), held);
+
+  // Kill a node that holds map outputs: the held shuffle is still
+  // registered, so the next action recomputes the lost outputs by lineage.
+  ctx().InjectFault(FaultEvent{FaultEvent::Kind::kKill, ctx().now(), 0, 1.0});
+  const uint64_t recovered_before =
+      CounterValue(ctx(), "shark_map_tasks_recovered_total");
+  auto again = ctx().Collect(table->rdd);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  auto sorted = [](std::vector<Row> rows) {
+    std::vector<std::string> out;
+    for (const Row& row : rows) out.push_back(row.ToString());
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  EXPECT_EQ(sorted(*again), sorted(*first));
+  EXPECT_GT(CounterValue(ctx(), "shark_map_tasks_recovered_total"),
+            recovered_before);
+
+  table->rdd.reset();
+  const Footprint after = TakeFootprint(ctx());
+  EXPECT_EQ(after.shuffles_live, before.shuffles_live);
+  EXPECT_EQ(after.shuffle_resident_bytes, 0.0);
+  EXPECT_EQ(after.registered_shuffles, before.registered_shuffles);
+  EXPECT_EQ(after, before);
+}
+
+// A cached table's blocks are owned by the catalog's reference: queries
+// leave them alone, UNCACHE releases them.
+TEST_F(QueryReleaseTest, CachedTableBlocksLiveUntilUncache) {
+  const Footprint before = TakeFootprint(ctx());
+  ASSERT_TRUE(session_->CacheTable("t").ok());
+  const Footprint cached = TakeFootprint(ctx());
+  EXPECT_GT(ctx().block_manager().TotalUsedBytes(), 0u);
+  EXPECT_NE(cached.used_bytes_per_node, before.used_bytes_per_node);
+
+  for (const char* sql : {kGroupBy, kJoin, "SELECT COUNT(*) FROM t"}) {
+    auto r = session_->Sql(sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    EXPECT_EQ(TakeFootprint(ctx()), cached) << sql;
+  }
+
+  ASSERT_TRUE(session_->UncacheTable("t").ok());
+  EXPECT_EQ(ctx().block_manager().TotalUsedBytes(), 0u);
+  EXPECT_EQ(TakeFootprint(ctx()), before);
+}
+
+// A TableRdd can outlive its session and cluster context; dropping it then
+// releases nothing (the sanitizer builds catch any touch of the dead context).
+TEST_F(QueryReleaseTest, TableRddOutlivingItsContextReleasesNothing) {
+  ASSERT_TRUE(session_->CacheTable("t").ok());
+  // The lineage holds a shuffle and the still-cached table's RDD.
+  auto table = session_->Sql2Rdd(kGroupBy);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  ASSERT_TRUE(ctx().Collect(table->rdd).ok());
+  session_.reset();  // sole owner of the context
+  table->rdd.reset();
+}
+
+// Three concurrent SQL jobs under admission control: at quiescence nothing
+// is left in the shuffle ledger or the admission reservations, and virtual
+// time does not depend on how many host threads computed the task bodies.
+struct ConcurrentSqlRun {
+  std::vector<double> finish_vtimes;
+  std::vector<size_t> rows;
+  double now = 0.0;
+};
+
+ConcurrentSqlRun RunConcurrentSql(int host_threads) {
+  ClusterConfig cfg = SmallConfig();
+  cfg.host_threads = host_threads;
+  SharkSession session(std::make_shared<ClusterContext>(cfg));
+  std::vector<Row> t_rows;
+  std::vector<Row> u_rows;
+  for (int i = 0; i < 200; ++i) {
+    t_rows.push_back(Row({Value::Int64(i % 16), Value::Int64(i)}));
+    u_rows.push_back(Row({Value::Int64(i % 32), Value::Int64(2 * i)}));
+  }
+  Schema t_schema({{"k", TypeKind::kInt64}, {"v", TypeKind::kInt64}});
+  Schema u_schema({{"k", TypeKind::kInt64}, {"w", TypeKind::kInt64}});
+  EXPECT_TRUE(session.CreateDfsTable("t", t_schema, t_rows, 8).ok());
+  EXPECT_TRUE(session.CreateDfsTable("u", u_schema, u_rows, 8).ok());
+  EXPECT_TRUE(session.CacheTable("u").ok());
+
+  ClusterContext& ctx = session.context();
+  const Footprint before = TakeFootprint(ctx);
+  JobManager jm(&ctx);
+  const char* queries[] = {kGroupBy, kJoin, kGroupBy};
+  ConcurrentSqlRun run;
+  run.rows.resize(3);
+  std::vector<JobSpec> specs(3);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    specs[i].label = "sql" + std::to_string(i);
+    specs[i].mem_demand_bytes =
+        ctx.memory_manager().AdmissionHeadroomBytes() / 8;
+    specs[i].body = [&session, &run, sql = queries[i], i]() -> Status {
+      SHARK_ASSIGN_OR_RETURN(QueryResult r, session.Sql(sql));
+      run.rows[i] = r.rows.size();
+      return Status::OK();
+    };
+  }
+  for (const JobOutcome& o : jm.RunJobs(std::move(specs))) {
+    EXPECT_TRUE(o.status.ok()) << o.label << ": " << o.status.ToString();
+    run.finish_vtimes.push_back(o.finish_vtime);
+  }
+  EXPECT_EQ(TakeFootprint(ctx), before) << "host_threads=" << host_threads;
+  EXPECT_EQ(ctx.memory_manager().total_shuffle_bytes(), 0u);
+  EXPECT_EQ(ctx.memory_manager().admitted_bytes(), 0u);
+  run.now = ctx.now();
+  return run;
+}
+
+TEST(ConcurrentJobsTest, ConcurrentSqlJobsReleaseEverythingAtQuiescence) {
+  ConcurrentSqlRun serial = RunConcurrentSql(1);
+  ConcurrentSqlRun pool = RunConcurrentSql(0);
+  EXPECT_EQ(serial.rows, (std::vector<size_t>{16, kJoinRows, 16}));
+  EXPECT_EQ(pool.rows, serial.rows);
+  // Byte-identical virtual time: exact double equality, not a tolerance.
+  EXPECT_EQ(pool.finish_vtimes, serial.finish_vtimes);
+  EXPECT_EQ(pool.now, serial.now);
 }
 
 }  // namespace

@@ -120,7 +120,7 @@ echo "=== concurrent jobs under ThreadSanitizer ==="
 cmake -B build-tsan -S . -DSHARK_SANITIZE=thread
 cmake --build build-tsan -j "$(nproc)" --target shark_tests
 TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-  build-tsan/tests/shark_tests --gtest_filter='ConcurrentJobsTest.*:FailingQueryCleanupTest.*:DeterminismTest.ConcurrentJobs*:DeterminismTest.Indexed*:DeterminismTest.Observability*:DeterminismTest.SparseShuffle*:IndexSqlTest.*:ServerTest.*:HttpListenerTest.*'
+  build-tsan/tests/shark_tests --gtest_filter='ConcurrentJobsTest.*:FailingQueryCleanupTest.*:QueryReleaseTest.*:DeterminismTest.ConcurrentJobs*:DeterminismTest.Indexed*:DeterminismTest.Observability*:DeterminismTest.SparseShuffle*:IndexSqlTest.*:ServerTest.*:HttpListenerTest.*'
 
 echo "=== AddressSanitizer ==="
 tools/check_asan.sh
